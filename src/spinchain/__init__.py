@@ -22,9 +22,7 @@ from .circuits import (
 from .compiler import (
     CompileError,
     CompileReport,
-    CompilerComparison,
     NativeTarget,
-    compare_compilers,
     compile_program,
     conforms,
     ds_compile,
@@ -75,7 +73,6 @@ __all__ = [
     "CircuitSeries",
     "CompileError",
     "CompileReport",
-    "CompilerComparison",
     "ConfigError",
     "FieldProfile",
     "Gate",
@@ -97,7 +94,6 @@ __all__ = [
     "apply_gate",
     "build_model",
     "build_plan",
-    "compare_compilers",
     "compile_program",
     "conforms",
     "ds_compile",

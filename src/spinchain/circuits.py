@@ -134,10 +134,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, more) -> "Program":
-        """A new program with ``more`` gates appended."""
-        return Program(self.num_qubits, self.gates + tuple(more))
-
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of one gate (2x2, or 4x4 with qubits[0] as the high bit)."""

@@ -495,25 +495,3 @@ def compile_program(
     if mode == "domain_specific":
         return ds_compile(program, target)
     raise CompileError(f"unknown compile mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class CompilerComparison:
-    """Both compilation routes for the same input, with their reports."""
-
-    generic: Program
-    generic_report: CompileReport
-    ds: Program
-    ds_report: CompileReport
-
-
-def compare_compilers(program: Program, target: NativeTarget) -> CompilerComparison:
-    """Run the generic and domain-specific pipelines side by side."""
-    generic = lower_generic(program, target)
-    generic_report = _report(
-        program, generic, target, [("lower_generic", len(generic.gates) - len(program.gates))]
-    )
-    ds, ds_report = ds_compile(program, target)
-    return CompilerComparison(
-        generic=generic, generic_report=generic_report, ds=ds, ds_report=ds_report
-    )

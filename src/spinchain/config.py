@@ -16,8 +16,11 @@ QCQS_CHOICES = ("simulator", "computer")
 BACKEND_CHOICES = ("internal", "ibm", "rigetti")
 COMPILE_CHOICES = ("none", "generic", "domain_specific")
 UNITS_CHOICES = ("dimensionless", "ev_fs")
-SPIN_CHOICES = ("up", "down", "0", "1")
+# Spin word -> computational-basis bit; spin-up is |0>.
+SPIN_BITS = {"up": 0, "down": 1, "0": 0, "1": 1}
+SPIN_CHOICES = tuple(SPIN_BITS)
 
+# Largest register a run accepts; the statevector holds 2^n amplitudes.
 MAX_QUBITS = 24
 
 

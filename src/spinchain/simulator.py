@@ -14,13 +14,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .circuits import Gate, GateKind, Program, gate_matrix, make_gate
+from .config import MAX_QUBITS, SPIN_BITS
 
 if TYPE_CHECKING:
     from .trotter import CircuitSeries, SimulationPlan
-
-MAX_STATE_QUBITS = 24
-
-_SPIN_BITS = {"up": 0, "down": 1, "0": 0, "1": 1}
 
 
 class SimulationError(ValueError):
@@ -48,16 +45,16 @@ class StateVector:
 
 def _spin_bit(spin: str) -> int:
     key = str(spin).strip().lower()
-    if key not in _SPIN_BITS:
+    if key not in SPIN_BITS:
         raise SimulationError(f"initial spin must be up/down (or 0/1), got {spin!r}")
-    return _SPIN_BITS[key]
+    return SPIN_BITS[key]
 
 
 def init_state(num_qubits: int, initial_spins: Sequence[str] | None = None) -> StateVector:
     """Product basis state with the given spin per site (default all up)."""
-    if not 1 <= num_qubits <= MAX_STATE_QUBITS:
+    if not 1 <= num_qubits <= MAX_QUBITS:
         raise SimulationError(
-            f"num_qubits must be in [1, {MAX_STATE_QUBITS}], got {num_qubits}"
+            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
     index = 0
     if initial_spins is not None:
@@ -216,56 +213,44 @@ class MagnetizationSeries:
         return len(self.values)
 
 
-def _is_prefix_chain(programs: Sequence[Program]) -> bool:
-    for prev, cur in zip(programs, programs[1:]):
-        if cur.gates[: len(prev.gates)] != prev.gates:
-            return False
-    return True
+def _series_states(series: "CircuitSeries"):
+    """Yield the state after each circuit of the series.
 
-
-def _series_states(programs: Sequence[Program]):
-    """Yield the final state of each program.
-
-    A generated series grows by appending one Trotter step per program, so
-    when each program extends its predecessor the evolution runs once and is
-    snapshotted, instead of re-running every prefix from scratch.  The gate
-    applications happen in the identical order either way, so the resulting
-    amplitudes are bit-for-bit the same.
+    Circuit k is a prefix of the series program, so the program runs once
+    from |0...0> and the state is snapshotted at every step mark.
     """
-    if programs and _is_prefix_chain(programs):
-        state = init_state(programs[0].num_qubits)
-        done = 0
-        for program in programs:
-            for gate in program.gates[done:]:
-                state = apply_gate(state, gate)
-            done = len(program.gates)
-            yield state
-    else:
-        for program in programs:
-            yield run_statevector(program)
+    state = init_state(series.program.num_qubits)
+    gates = series.program.gates
+    done = 0
+    for end in series.step_ends:
+        for gate in gates[done:end]:
+            state = apply_gate(state, gate)
+        done = end
+        yield state
 
 
 def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> MagnetizationSeries:
-    """Run every program of a circuit series and collect magnetizations.
+    """Run every circuit of a circuit series and collect magnetizations.
 
-    Every program in the series already contains its own state-preparation
-    gates, so execution always starts from the all-zero state.
+    The series program already contains the state-preparation gates, so
+    execution always starts from the all-zero state.
 
-    plan.shots == 0 selects exact expectation values; otherwise each program
+    plan.shots == 0 selects exact expectation values; otherwise each circuit
     is sampled with ``plan.shots`` shots (with Pauli noise when plan.noise is
-    set), using the derived seed ``plan.seed + program_index``.
+    set), using the derived seed ``plan.seed + circuit_index``.  Noisy
+    trajectories run each circuit on its own, from the start.
     """
     n = plan.num_qubits
     rows: list[list[float]] = [[] for _ in range(n)]
     times: list[float] = []
     if plan.noise is not None and plan.shots > 0:
-        for index, program in enumerate(series.programs):
+        for index, program in enumerate(series):
             times.append(index * plan.delta_t)
             counts = run_noisy(program, None, plan.shots, plan.noise, plan.seed + index)
             for q in range(n):
                 rows[q].append(magnetization_from_counts(counts, q))
     else:
-        for index, state in enumerate(_series_states(series.programs)):
+        for index, state in enumerate(_series_states(series)):
             times.append(index * plan.delta_t)
             if plan.shots == 0:
                 for q in range(n):

@@ -2,8 +2,10 @@
 
 One evolution step of length dt applies the field layer sampled at the step
 start time, then the bond layer over pairs (i, i+1) in ascending order.  A
-run over `steps` steps yields steps+1 programs: program n evolves to time
-n*dt, and program 0 contains only state preparation.
+run over `steps` steps yields steps+1 circuits: circuit n evolves to time
+n*dt, and circuit 0 contains only state preparation.  Each circuit is a
+prefix of the next, so a run holds one program and marks where each step
+ends in it (``CircuitSeries``).
 
 ``exact_evolution`` integrates the same model by dense eigendecomposition
 and serves as the convergence oracle for the circuits.
@@ -17,16 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Gate, GateKind, Program, make_gate
+from .config import BACKEND_CHOICES, COMPILE_CHOICES, MAX_QUBITS, SPIN_CHOICES
 from .hamiltonian import HeisenbergModel, field_at, hamiltonian_matrix, validate
-from .simulator import (
-    MAX_STATE_QUBITS,
-    MagnetizationSeries,
-    NoiseParams,
-    _spin_bit,
-)
-
-BACKENDS = ("internal", "ibm", "rigetti")
-COMPILE_MODES = ("none", "generic", "domain_specific")
+from .simulator import MagnetizationSeries, NoiseParams, _spin_bit
 
 DEFAULT_SUBSTEPS = 64
 
@@ -49,10 +44,8 @@ class SimulationPlan:
 def validate_plan(plan: SimulationPlan) -> list[str]:
     """All plan validation failures; an empty list means valid."""
     errors: list[str] = []
-    if not 1 <= plan.num_qubits <= MAX_STATE_QUBITS:
-        errors.append(
-            f"num_qubits: must be in [1, {MAX_STATE_QUBITS}], got {plan.num_qubits}"
-        )
+    if not 1 <= plan.num_qubits <= MAX_QUBITS:
+        errors.append(f"num_qubits: must be in [1, {MAX_QUBITS}], got {plan.num_qubits}")
     if plan.initial_spins is not None:
         if len(plan.initial_spins) != plan.num_qubits:
             errors.append(
@@ -60,7 +53,7 @@ def validate_plan(plan: SimulationPlan) -> list[str]:
                 f"{plan.num_qubits} qubit(s)"
             )
         for spin in plan.initial_spins:
-            if str(spin).strip().lower() not in ("up", "down", "0", "1"):
+            if str(spin).strip().lower() not in SPIN_CHOICES:
                 errors.append(f"initial_spins: unknown spin {spin!r}")
                 break
     if not (math.isfinite(plan.delta_t) and plan.delta_t > 0):
@@ -69,29 +62,53 @@ def validate_plan(plan: SimulationPlan) -> list[str]:
         errors.append(f"steps: must be >= 0, got {plan.steps}")
     if plan.shots < 0:
         errors.append(f"shots: must be >= 0 (0 selects exact mode), got {plan.shots}")
-    if plan.backend not in BACKENDS:
-        errors.append(f"backend: must be one of {BACKENDS}, got {plan.backend!r}")
-    if plan.compile_mode not in COMPILE_MODES:
+    if plan.backend not in BACKEND_CHOICES:
+        errors.append(f"backend: must be one of {BACKEND_CHOICES}, got {plan.backend!r}")
+    if plan.compile_mode not in COMPILE_CHOICES:
         errors.append(
-            f"compile_mode: must be one of {COMPILE_MODES}, got {plan.compile_mode!r}"
+            f"compile_mode: must be one of {COMPILE_CHOICES}, got {plan.compile_mode!r}"
         )
     return errors
 
 
 @dataclass(frozen=True, slots=True)
 class CircuitSeries:
-    """The steps+1 programs of one run, in time order."""
+    """The steps+1 circuits of one run: one program and its step marks.
 
-    programs: tuple[Program, ...]
+    Circuit k is the prefix ``program.gates[:step_ends[k]]``.  step_ends[0]
+    counts the state-preparation gates and step_ends[-1] == len(program).
+    """
+
+    program: Program
+    step_ends: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        ends = tuple(self.step_ends)
+        object.__setattr__(self, "step_ends", ends)
+        if not ends or ends[0] < 0 or ends[-1] != len(self.program):
+            raise ValueError(
+                f"step_ends must be non-empty and end at {len(self.program)}, got {ends}"
+            )
+        if any(b < a for a, b in zip(ends, ends[1:])):
+            raise ValueError(f"step_ends must not decrease, got {ends}")
 
     def __len__(self) -> int:
-        return len(self.programs)
+        return len(self.step_ends)
 
     def __iter__(self):
-        return iter(self.programs)
+        return (self[k] for k in range(len(self)))
 
     def __getitem__(self, index: int) -> Program:
-        return self.programs[index]
+        """Circuit ``index`` (negative counts from the end) as its own program."""
+        return Program(self.program.num_qubits, self.program.gates[: self.step_ends[index]])
+
+    def segment(self, index: int) -> Program:
+        """The gates circuit ``index`` adds to its predecessor; 0 is state prep."""
+        index = range(len(self))[index]
+        start = self.step_ends[index - 1] if index else 0
+        return Program(
+            self.program.num_qubits, self.program.gates[start : self.step_ends[index]]
+        )
 
 
 def state_prep_gates(initial_spins) -> list[Gate]:
@@ -157,9 +174,9 @@ def field_evolution_gates(
 
 
 def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSeries:
-    """Build the steps+1 Trotter programs for one run.
+    """Build the steps+1 Trotter circuits for one run.
 
-    The field is sampled at the step start time m*delta_t, so every program
+    The field is sampled at the step start time m*delta_t, so every circuit
     shares the gates of its predecessors as a prefix.
     """
     errors = validate(model)
@@ -168,16 +185,15 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
         raise ValueError("invalid simulation inputs: " + "; ".join(errors))
     n = plan.num_qubits
     dt_over_hbar = plan.delta_t / model.hbar
-    prep = state_prep_gates(plan.initial_spins)
-    programs = [Program(n, tuple(prep))]
-    gates = list(prep)
+    gates = state_prep_gates(plan.initial_spins)
+    step_ends = [len(gates)]
     for m in range(plan.steps):
         h = field_at(model.field, m * plan.delta_t)
         gates += field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
         for i in range(n - 1):
             gates += bond_evolution_gates(model.jx, model.jy, model.jz, dt_over_hbar, i, i + 1)
-        programs.append(Program(n, tuple(gates)))
-    return CircuitSeries(programs=tuple(programs))
+        step_ends.append(len(gates))
+    return CircuitSeries(Program(n, tuple(gates)), tuple(step_ends))
 
 
 def _initial_vector(plan: SimulationPlan) -> np.ndarray:

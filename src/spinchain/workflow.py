@@ -4,7 +4,8 @@ A run writes results under `<output_dir>/data/`:
 
   qubit_<q>_magnetization.csv   one row per time point, 17 significant digits
   plot.svg                      all traces, unless plotting is disabled
-  compile_report.txt            only when a compile mode is selected
+  compile_report.txt            only when a compile mode is selected; one
+                                entry per step segment
 
 Everything in data/ is byte-deterministic for a given configuration.  The
 run log (config echo, gate counts, mode, wall-clock timings) cannot be, so
@@ -17,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 
-from .circuits import gate_counts
+from .circuits import Program, gate_counts
 from .compiler import CompileReport, NativeTarget, compile_program
 from .config import RunConfig, load_field_samples
 from .formats import dialect_extension, emit_program
@@ -62,20 +63,27 @@ def build_plan(config: RunConfig) -> SimulationPlan:
 def prepare_circuits(
     config: RunConfig,
 ) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
-    """Generate the Trotter series, compiling it when the config asks for it."""
+    """Generate the Trotter series, compiling it when the config asks for it.
+
+    Each step segment is compiled on its own, so no rewrite crosses a step
+    mark and every compiled circuit is the compiled prefix of its source.
+    """
     model = build_model(config)
     plan = build_plan(config)
     circuits = generate_circuits(model, plan)
     if config.compile_mode == "none":
         return circuits, None
     target = NativeTarget.from_name(config.backend)
-    compiled = []
+    gates = []
+    step_ends = []
     reports = []
-    for program in circuits:
-        out, report = compile_program(program, target, config.compile_mode)
-        compiled.append(out)
+    for index in range(len(circuits)):
+        out, report = compile_program(circuits.segment(index), target, config.compile_mode)
+        gates += out.gates
+        step_ends.append(len(gates))
         reports.append(report)
-    return CircuitSeries(tuple(compiled)), tuple(reports)
+    program = Program(circuits.program.num_qubits, tuple(gates))
+    return CircuitSeries(program, tuple(step_ends)), tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -100,16 +108,8 @@ def _mode_description(plan: SimulationPlan) -> str:
     )
 
 
-def _counts_line(program) -> str:
-    counts = gate_counts(program)
-    return (
-        f"{counts.total} gates "
-        f"({counts.single_qubit} single-qubit, {counts.two_qubit} two-qubit)"
-    )
-
-
 def _format_report(index: int, report: CompileReport) -> list[str]:
-    lines = [f"circuit {index}:"]
+    lines = [f"step {index}:"]
     lines.append(f"  input:  {report.input_counts.total} gates")
     lines.append(f"  output: {report.output_counts.total} gates")
     lines.append("  passes:")
@@ -186,8 +186,15 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
             handle.write(f"  {field.name} = {value}\n")
         handle.write(f"\nmode: {_mode_description(plan)}\n")
         handle.write(f"circuits: {len(circuits)} programs on {plan.num_qubits} qubits\n")
-        for index, program in enumerate(circuits):
-            handle.write(f"  circuit {index}: {_counts_line(program)}\n")
+        single = two = 0
+        for index in range(len(circuits)):
+            counts = gate_counts(circuits.segment(index))
+            single += counts.single_qubit
+            two += counts.two_qubit
+            handle.write(
+                f"  circuit {index}: {single + two} gates "
+                f"({single} single-qubit, {two} two-qubit)\n"
+            )
         for note in notes:
             handle.write(f"\nnote: {note}\n")
         handle.write("\ntimings:\n")
@@ -207,7 +214,7 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
 
 
 def emit_series(circuits: CircuitSeries, dialect: str, out_dir: str) -> tuple[str, ...]:
-    """Write one circuit file per program, named circuit_<index>.<ext>."""
+    """Write one circuit file per circuit, named circuit_<index>.<ext>."""
     os.makedirs(out_dir, exist_ok=True)
     extension = dialect_extension(dialect)
     paths = []

@@ -15,7 +15,7 @@ from spinchain import (
     HeisenbergModel,
     NativeTarget,
     SimulationPlan,
-    compare_compilers,
+    compile_program,
     conforms,
     ds_compile,
     emit_program,
@@ -183,35 +183,37 @@ def test_criterion_5_compiler_soundness(capsys):
     for index in range(200):
         program = random_program(rng, int(rng.integers(1, 5)), int(rng.integers(0, 31)))
         for target in (NativeTarget.IBM, NativeTarget.RIGETTI):
-            cmp = compare_compilers(program, target)
+            generic, generic_report = compile_program(program, target, "generic")
+            ds, ds_report = ds_compile(program, target)
             worst_fidelity = min(
                 worst_fidelity,
-                cmp.generic_report.equivalence_fidelity,
-                cmp.ds_report.equivalence_fidelity,
+                generic_report.equivalence_fidelity,
+                ds_report.equivalence_fidelity,
             )
-            if cmp.generic_report.equivalence_fidelity < 1 - 1e-8:
+            if generic_report.equivalence_fidelity < 1 - 1e-8:
                 failures.append(f"program {index} generic fidelity on {target.value}")
-            if cmp.ds_report.equivalence_fidelity < 1 - 1e-8:
+            if ds_report.equivalence_fidelity < 1 - 1e-8:
                 failures.append(f"program {index} ds fidelity on {target.value}")
-            if not conforms(cmp.generic, target) or not conforms(cmp.ds, target):
+            if not conforms(generic, target) or not conforms(ds, target):
                 failures.append(f"program {index} conformance on {target.value}")
-            if len(cmp.ds) > len(cmp.generic):
+            if len(ds) > len(generic):
                 failures.append(f"program {index} ds larger than generic on {target.value}")
 
     strict_held = True
     for target in (NativeTarget.IBM, NativeTarget.RIGETTI):
         for k, program in enumerate(_tfim_series()):
-            cmp = compare_compilers(program, target)
+            generic, generic_report = compile_program(program, target, "generic")
+            ds, ds_report = ds_compile(program, target)
             worst_fidelity = min(
                 worst_fidelity,
-                cmp.generic_report.equivalence_fidelity,
-                cmp.ds_report.equivalence_fidelity,
+                generic_report.equivalence_fidelity,
+                ds_report.equivalence_fidelity,
             )
-            if not conforms(cmp.generic, target) or not conforms(cmp.ds, target):
+            if not conforms(generic, target) or not conforms(ds, target):
                 failures.append(f"series circuit {k} conformance on {target.value}")
-            if len(cmp.ds) > len(cmp.generic):
+            if len(ds) > len(generic):
                 failures.append(f"series circuit {k} ds larger on {target.value}")
-            if k >= 2 and len(cmp.ds) >= len(cmp.generic):
+            if k >= 2 and len(ds) >= len(generic):
                 strict_held = False
                 failures.append(f"series circuit {k} not strictly smaller on {target.value}")
     elapsed = time.perf_counter() - started

@@ -106,7 +106,7 @@ def test_program_validation():
     with pytest.raises(GateError):
         Program(1, (make_gate("x", [1]),))
     p = Program(2, (make_gate("x", [1]),))
-    q = p.extended([make_gate("h", [0])])
+    q = Program(p.num_qubits, p.gates + (make_gate("h", [0]),))
     assert len(q) == 2
     assert len(p) == 1
 

@@ -10,7 +10,6 @@ from spinchain import (
     NativeTarget,
     Program,
     SimulationPlan,
-    compare_compilers,
     compile_program,
     conforms,
     ds_compile,
@@ -305,15 +304,16 @@ def test_ds_compile_random_programs(target):
     rng = np.random.default_rng(59)
     for _ in range(25):
         source = random_program(rng, 3, int(rng.integers(1, 20)))
-        comparison = compare_compilers(source, target)
-        for report in (comparison.generic_report, comparison.ds_report):
+        generic, generic_report = compile_program(source, target, "generic")
+        ds, ds_report = ds_compile(source, target)
+        for report in (generic_report, ds_report):
             assert report.equivalence_checked
             assert report.equivalence_fidelity >= 1 - 1e-8
-        assert conforms(comparison.generic, target)
-        assert conforms(comparison.ds, target)
-        assert len(comparison.ds) <= len(comparison.generic)
-        twice, _ = ds_compile(comparison.ds, target)
-        assert twice.gates == comparison.ds.gates
+        assert conforms(generic, target)
+        assert conforms(ds, target)
+        assert len(ds) <= len(generic)
+        twice, _ = ds_compile(ds, target)
+        assert twice.gates == ds.gates
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -331,9 +331,10 @@ def test_tfim_series_strict_improvement(target):
     )
     plan = SimulationPlan(num_qubits=3, initial_spins=None, delta_t=0.1, steps=2)
     program = generate_circuits(model, plan)[2]
-    comparison = compare_compilers(program, target)
-    assert len(comparison.ds) < len(comparison.generic)
-    assert comparison.ds_report.equivalence_fidelity >= 1 - 1e-8
+    generic, _ = compile_program(program, target, "generic")
+    ds, ds_report = ds_compile(program, target)
+    assert len(ds) < len(generic)
+    assert ds_report.equivalence_fidelity >= 1 - 1e-8
 
 
 def test_report_pass_ledger():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spinchain import (
     HeisenbergModel,
     NoiseParams,
     Program,
+    RunConfig,
     SimulationError,
     SimulationPlan,
     StateVector,
@@ -16,12 +19,14 @@ from spinchain import (
     init_state,
     magnetization_from_counts,
     make_gate,
+    program_unitary,
     run_noisy,
     run_statevector,
     sample_counts,
     simulate_series,
+    unitary_equivalent,
 )
-from spinchain.trotter import CircuitSeries
+from spinchain.workflow import build_plan, prepare_circuits
 from helpers import dense_gate_oracle, random_gate, random_program
 
 
@@ -169,13 +174,25 @@ def test_simulate_series_incremental_matches_per_program():
             assert series.values[q][index] == expectation_z(state, q)
 
 
-def test_simulate_series_handles_non_prefix_series():
-    circuits, plan = _tiny_series()
-    shuffled = CircuitSeries(tuple(reversed(circuits.programs)))
-    series = simulate_series(shuffled, plan)
-    forward = simulate_series(circuits, plan)
-    assert series.values[0][0] == forward.values[0][-1]
-    assert series.values[0][-1] == forward.values[0][0]
+@pytest.mark.parametrize("target", ["ibm", "rigetti"])
+def test_compiled_series_matches_source_per_prefix(target):
+    config = RunConfig(
+        jz=1.0, h_ext=2.0, num_qubits=3, initial_spins=("up", "down", "up"),
+        delta_t=0.1, steps=4, backend=target, compile_mode="domain_specific",
+    )
+    source, _ = prepare_circuits(replace(config, backend="internal", compile_mode="none"))
+    compiled, reports = prepare_circuits(config)
+    assert len(compiled) == len(source) == len(reports) == 5
+    for k in range(len(source)):
+        assert unitary_equivalent(
+            program_unitary(source[k]), program_unitary(compiled[k]), tol=1e-8
+        )
+    plan = build_plan(config)
+    series = simulate_series(compiled, plan)
+    for index, program in enumerate(compiled):
+        state = run_statevector(program)
+        for q in range(3):
+            assert series.values[q][index] == expectation_z(state, q)
 
 
 def test_simulate_series_sampled_is_deterministic():

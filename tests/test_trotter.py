@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from spinchain import (
+    CircuitSeries,
     FieldProfile,
     GateKind,
     HeisenbergModel,
@@ -116,13 +117,34 @@ def test_series_structure_and_prefix_property():
         num_qubits=3, initial_spins=["down", "up", "up"], delta_t=0.1, steps=5
     )
     circuits = generate_circuits(model, plan)
-    assert len(circuits) == 6
+    assert len(circuits) == plan.steps + 1
+    assert len(circuits.program) == circuits.step_ends[-1]
+    assert all(a < b for a, b in zip(circuits.step_ends, circuits.step_ends[1:]))
     assert [g.kind for g in circuits[0].gates] == [GateKind.X]
-    for prev, cur in zip(circuits, circuits.programs[1:]):
+    programs = list(circuits)
+    for prev, cur in zip(programs, programs[1:]):
         assert cur.gates[: len(prev.gates)] == prev.gates
+    assert circuits[-1] == circuits.program
+    assert circuits[-2] == programs[-2]
     # no field -> no rotation layer beyond the bond blocks
     kinds = {g.kind for g in circuits[5].gates}
     assert GateKind.RY not in kinds
+
+
+def test_circuit_series_segments_and_bad_marks():
+    model = HeisenbergModel(jx=0, jy=0, jz=1.0, field=FieldProfile(amplitude=2.0))
+    plan = SimulationPlan(num_qubits=3, initial_spins=["up", "down", "up"], steps=3)
+    circuits = generate_circuits(model, plan)
+    joined = sum((circuits.segment(k).gates for k in range(len(circuits))), ())
+    assert joined == circuits.program.gates
+    assert circuits.segment(-1) == circuits.segment(3)
+    with pytest.raises(IndexError):
+        circuits.segment(4)
+    ends = circuits.step_ends
+    swapped = (ends[0], ends[2], ends[1], ends[3])
+    for bad in ((), ends[:-1], swapped, (-1,) + ends[1:]):
+        with pytest.raises(ValueError):
+            CircuitSeries(circuits.program, bad)
 
 
 def test_time_dependent_field_sampled_at_step_start():

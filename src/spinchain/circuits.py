@@ -5,6 +5,9 @@ A circuit is a flat, time-ordered list of gates acting on a register of
 measurement bitstring (most significant bit of the basis-state index), and
 spin-up is identified with |0>.  Angles are stored unreduced; any mod-2*pi
 normalization happens in compiler passes, never here.
+
+One in-place kernel, ``apply_matrix``, applies gates; ``evolve`` fuses gates into
+<=2-qubit blocks for it and drives both the simulator and ``program_unitary``.
 """
 
 from __future__ import annotations
@@ -134,6 +137,13 @@ class Program:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def _slice(self, start: int, stop: int) -> "Program":
+        # gates[start:stop] as a program, skipping the checks they passed here
+        sliced = object.__new__(Program)
+        object.__setattr__(sliced, "num_qubits", self.num_qubits)
+        object.__setattr__(sliced, "gates", self.gates[start:stop])
+        return sliced
+
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of one gate (2x2, or 4x4 with qubits[0] as the high bit)."""
@@ -195,28 +205,80 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise GateError(f"no matrix for gate kind {k!r}")
 
 
-def _apply_one_qubit(u: np.ndarray, g: np.ndarray, qubit: int, n: int) -> None:
-    # Left-multiplies u (in place) by g embedded at `qubit`, via row arithmetic
-    # on basis indices.  Qubit 0 is the most significant bit.
-    shift = n - 1 - qubit
-    idx = np.arange(u.shape[0])
-    r0 = idx[(idx >> shift) & 1 == 0]
-    r1 = r0 + (1 << shift)
-    a, b = u[r0], u[r1]
-    u[r0] = g[0, 0] * a + g[0, 1] * b
-    u[r1] = g[1, 0] * a + g[1, 1] * b
+def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
+    """Left-multiply ``amps`` in place by the 2x2 or 4x4 ``m`` on ``qubits``.
+
+    ``amps`` is C-contiguous with 2^n entries on its leading axis and an
+    optional trailing batch axis.  Viewed as (2^a, 2, [2^b, 2,] rest), each
+    qubit has its own axis; the first qubit is m's high bit.  A diagonal m
+    scales slices; others gather them into the spare ``work`` array.
+    """
+    if len(qubits) == 2 and qubits[0] > qubits[1]:
+        m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        qubits = qubits[::-1]
+    shape, low = [], 0
+    for q in qubits:
+        shape += [1 << (q - low), 2]
+        low = q + 1
+    view = amps.view()
+    view.shape = (*shape, -1)  # raises instead of copying a non-contiguous amps
+    k = len(qubits)
+    sub = view.transpose((1, 0, 2) if k == 1 else (1, 3, 0, 2, 4))  # qubit axes first
+    diag = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        for index, d in zip(np.ndindex(sub.shape[:k]), diag):
+            if d != 1:
+                sub[index] *= d
+        return
+    if work is None:
+        work = np.empty((3, amps.size // 2), amps.dtype)
+    gathered = work[:2].reshape(len(m), -1)
+    np.copyto(gathered.reshape(sub.shape), sub)
+    half = len(m) // 2
+    for bit in (0, 1):  # half the rows at a time, so work holds 1.5 states
+        product = work[2].reshape(half, -1)
+        np.matmul(m[bit * half : (bit + 1) * half], gathered, out=product)
+        np.copyto(sub[bit], product.reshape(sub.shape[1:]))
 
 
-def _apply_two_qubit(u: np.ndarray, g: np.ndarray, qa: int, qb: int, n: int) -> None:
-    sa, sb = n - 1 - qa, n - 1 - qb
-    idx = np.arange(u.shape[0])
-    base = idx[((idx >> sa) & 1 == 0) & ((idx >> sb) & 1 == 0)]
-    rows = [base + (i >> 1 << sa) + ((i & 1) << sb) for i in range(4)]
-    old = [u[r] for r in rows]
-    for i in range(4):
-        u[rows[i]] = (
-            g[i, 0] * old[0] + g[i, 1] * old[1] + g[i, 2] * old[2] + g[i, 3] * old[3]
-        )
+def evolve(amps: np.ndarray, gates, marks=()):
+    """Apply ``gates`` to ``amps`` in place and, for each of the non-decreasing
+    ``marks``, yield the array after the first ``mark`` gates (a copy, or
+    ``amps`` itself after the last gate).
+
+    Gates are split greedily from the left into maximal runs on at most two
+    qubits; each run's matrix is built by the kernel on a small identity and
+    applied once.  The runs of ``gates[:mark]`` are those of ``gates`` with
+    the last one cut at the mark, so a mark inside a run applies the run so
+    far to a copy: each snapshot is bit-identical to its prefix alone.
+    """
+    marks = list(marks)
+    if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
+        raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
+    work = np.empty((3, amps.size // 2), amps.dtype)
+    taken = 0  # marks yielded so far
+    start, qubits, block = 0, (), None
+    for i, gate in enumerate(gates):
+        while taken < len(marks) and marks[taken] == i:
+            snapshot = amps.copy()
+            if qubits:
+                apply_matrix(snapshot, block, qubits, work)
+            yield snapshot
+            taken += 1
+        new = tuple(q for q in gate.qubits if q not in qubits)
+        if len(qubits) + len(new) > 2:
+            apply_matrix(amps, block, qubits, work)
+            start, qubits, new = i, (), gate.qubits
+        if new:
+            # the run gains a qubit: rebuild its block on the larger identity
+            qubits += new
+            block = np.eye(1 << len(qubits), dtype=np.complex128)
+        for g in gates[start if new else i : i + 1]:
+            apply_matrix(block, gate_matrix(g), tuple(qubits.index(q) for q in g.qubits))
+    if qubits:
+        apply_matrix(amps, block, qubits, work)
+    for _ in marks[taken:]:  # these all equal len(gates)
+        yield amps
 
 
 def program_unitary(program: Program) -> np.ndarray:
@@ -231,13 +293,7 @@ def program_unitary(program: Program) -> np.ndarray:
         raise GateError(
             f"program_unitary supports at most {MAX_UNITARY_QUBITS} qubits, got {n}"
         )
-    u = np.eye(1 << n, dtype=np.complex128)
-    for gate in program.gates:
-        g = gate_matrix(gate)
-        if len(gate.qubits) == 1:
-            _apply_one_qubit(u, g, gate.qubits[0], n)
-        else:
-            _apply_two_qubit(u, g, gate.qubits[0], gate.qubits[1], n)
+    (u,) = evolve(np.eye(1 << n, dtype=np.complex128), program.gates, [len(program)])
     return u
 
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .circuits import GateError
 from .compiler import CompileError, NativeTarget, compile_program
 from .config import ConfigError, parse_input_file
 from .formats import DIALECTS, ParseError, emit_program, parse_program
+from .simulator import SimulationError
 from .workflow import emit_series, prepare_circuits, run_workflow
 
 
@@ -111,18 +113,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (GateError, SimulationError, CompileError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CompileError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

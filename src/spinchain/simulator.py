@@ -4,6 +4,9 @@ Basis-state indexing matches the IR convention: qubit 0 is the leftmost
 character of a bitstring, i.e. the most significant bit of the state index,
 and spin-up is |0>.  All randomness flows through numpy's default PCG64
 generator seeded explicitly, so identical seeds give identical outputs.
+
+Exact runs use ``circuits.evolve`` (fused blocks, in place); noisy ones apply
+each gate and Pauli in place.  Each returned ``StateVector`` is checked once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .circuits import Gate, GateKind, Program, gate_matrix, make_gate
+from .circuits import Gate, Program, apply_matrix, evolve, gate_matrix, make_gate
 from .config import MAX_QUBITS, SPIN_BITS
 
 if TYPE_CHECKING:
@@ -38,7 +41,7 @@ class StateVector:
                 f"amplitude vector has shape {self.amplitudes.shape}, "
                 f"expected ({1 << self.num_qubits},)"
             )
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm - 1.0) > 1e-10:
             raise SimulationError(f"state is not normalized: |psi|^2 = {norm}")
 
@@ -71,29 +74,25 @@ def init_state(num_qubits: int, initial_spins: Sequence[str] | None = None) -> S
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate without materializing the 2^n x 2^n embedding.
-
-    The amplitude vector is viewed as a rank-n tensor with one axis per
-    qubit (axis q = qubit q); the gate contracts against its qubit axes.
-    """
+    """One gate on a copy of the state, through the in-place kernel."""
     n = state.num_qubits
     if any(q >= n for q in gate.qubits):
         raise SimulationError(f"gate on {gate.qubits} exceeds {n} qubit register")
-    g = gate_matrix(gate)
-    psi = state.amplitudes.reshape([2] * n)
-    k = len(gate.qubits)
-    gt = g.reshape([2] * (2 * k))
-    moved = np.tensordot(gt, psi, axes=(list(range(k, 2 * k)), list(gate.qubits)))
-    psi = np.moveaxis(moved, list(range(k)), list(gate.qubits))
-    return StateVector(n, np.ascontiguousarray(psi).reshape(-1))
+    amps = state.amplitudes.copy()
+    apply_matrix(amps, gate_matrix(gate), gate.qubits)
+    return StateVector(n, amps)
 
 
 def run_statevector(program: Program, initial_spins: Sequence[str] | None = None) -> StateVector:
     """Run the whole program from the given product state."""
-    state = init_state(program.num_qubits, initial_spins)
-    for gate in program.gates:
-        state = apply_gate(state, gate)
-    return state
+    amps = init_state(program.num_qubits, initial_spins).amplitudes
+    (final,) = evolve(amps, program.gates, [len(program)])
+    return StateVector(program.num_qubits, final)
+
+
+def _z_expectation(probs: np.ndarray, qubit: int) -> float:
+    # <sigma^z> of one qubit from the basis-state probabilities
+    return 1.0 - 2.0 * float(probs.reshape(1 << qubit, 2, -1)[:, 1].sum())
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
@@ -101,9 +100,7 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
-    probs = np.abs(state.amplitudes) ** 2
-    p1 = float(probs.reshape([2] * n).sum(axis=tuple(a for a in range(n) if a != qubit))[1])
-    return 1.0 - 2.0 * p1
+    return _z_expectation(np.abs(state.amplitudes) ** 2, qubit)
 
 
 def sample_counts(state: StateVector, shots: int, seed: int) -> dict[str, int]:
@@ -148,7 +145,7 @@ class NoiseParams:
                 raise SimulationError(f"{name} must be in [0, 1], got {p}")
 
 
-_PAULI_GATES = (GateKind.X, GateKind.Y, GateKind.Z)
+_PAULIS = tuple(gate_matrix(make_gate(kind, [0])) for kind in "xyz")
 
 
 def run_noisy(
@@ -171,18 +168,20 @@ def run_noisy(
         return sample_counts(run_statevector(program, initial_spins), shots, seed)
     rng = np.random.default_rng(seed)
     n = program.num_qubits
+    initial = init_state(n, initial_spins).amplitudes
+    matrices = [gate_matrix(g) for g in program.gates]
+    work = np.empty((3, initial.size // 2), initial.dtype)
     counts: dict[str, int] = {}
     dim = 1 << n
     for _ in range(shots):
-        state = init_state(n, initial_spins)
-        for gate in program.gates:
-            state = apply_gate(state, gate)
+        amps = initial.copy()
+        for gate, matrix in zip(program.gates, matrices):
+            apply_matrix(amps, matrix, gate.qubits, work)
             p = noise.p1 if gate.kind.num_qubits == 1 else noise.p2
             for q in gate.qubits:
                 if rng.random() < p:
-                    pauli = _PAULI_GATES[rng.integers(3)]
-                    state = apply_gate(state, make_gate(pauli, [q]))
-        probs = np.abs(state.amplitudes) ** 2
+                    apply_matrix(amps, _PAULIS[rng.integers(3)], (q,), work)
+        probs = np.abs(amps) ** 2
         outcome = int(rng.choice(dim, p=probs / probs.sum()))
         bits = format(outcome, f"0{n}b")
         counts[bits] = counts.get(bits, 0) + 1
@@ -219,14 +218,10 @@ def _series_states(series: "CircuitSeries"):
     Circuit k is a prefix of the series program, so the program runs once
     from |0...0> and the state is snapshotted at every step mark.
     """
-    state = init_state(series.program.num_qubits)
-    gates = series.program.gates
-    done = 0
-    for end in series.step_ends:
-        for gate in gates[done:end]:
-            state = apply_gate(state, gate)
-        done = end
-        yield state
+    n = series.program.num_qubits
+    amps = init_state(n).amplitudes
+    for snapshot in evolve(amps, series.program.gates, series.step_ends):
+        yield StateVector(n, snapshot)
 
 
 def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> MagnetizationSeries:
@@ -253,12 +248,14 @@ def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> Magnetiz
         for index, state in enumerate(_series_states(series)):
             times.append(index * plan.delta_t)
             if plan.shots == 0:
+                probs = np.abs(state.amplitudes) ** 2
                 for q in range(n):
-                    rows[q].append(expectation_z(state, q))
+                    rows[q].append(_z_expectation(probs, q))
             else:
                 counts = sample_counts(state, plan.shots, plan.seed + index)
                 for q in range(n):
                     rows[q].append(magnetization_from_counts(counts, q))
+            state = probs = None  # free them before the next snapshot
     return MagnetizationSeries(
         times=tuple(times), values=tuple(tuple(row) for row in rows)
     )

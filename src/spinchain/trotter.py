@@ -100,15 +100,13 @@ class CircuitSeries:
 
     def __getitem__(self, index: int) -> Program:
         """Circuit ``index`` (negative counts from the end) as its own program."""
-        return Program(self.program.num_qubits, self.program.gates[: self.step_ends[index]])
+        return self.program._slice(0, self.step_ends[index])
 
     def segment(self, index: int) -> Program:
         """The gates circuit ``index`` adds to its predecessor; 0 is state prep."""
         index = range(len(self))[index]
         start = self.step_ends[index - 1] if index else 0
-        return Program(
-            self.program.num_qubits, self.program.gates[start : self.step_ends[index]]
-        )
+        return self.program._slice(start, self.step_ends[index])
 
 
 def state_prep_gates(initial_spins) -> list[Gate]:

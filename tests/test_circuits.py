@@ -10,9 +10,12 @@ from spinchain import (
     gate_counts,
     gate_matrix,
     make_gate,
+    apply_gate,
+    init_state,
     program_unitary,
     unitary_equivalent,
 )
+from spinchain.circuits import apply_matrix, evolve
 from helpers import dense_gate_oracle, random_program
 
 
@@ -160,3 +163,55 @@ def test_gate_counts():
     assert counts.two_qubit == 2
     assert counts[GateKind.CNOT] == 2
     assert counts[GateKind.X] == 0
+
+
+def _random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_apply_matrix_matches_enumeration_oracle(n, batch):
+    rng = np.random.default_rng(100 + n)
+    ordered = [(a,) for a in range(n)]
+    ordered += [(a, b) for a in range(n) for b in range(n) if a != b]  # both orders
+    for qubits in ordered:
+        dim = 1 << len(qubits)
+        phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
+        for m in (_random_unitary(rng, dim), phases):  # dense and diagonal paths
+            amps = rng.normal(size=(1 << n, *batch)) + 1j * rng.normal(size=(1 << n, *batch))
+            expected = dense_gate_oracle(m, qubits, n) @ amps
+            apply_matrix(amps, m, qubits)
+            assert np.max(np.abs(amps - expected)) <= 1e-12
+
+
+def test_evolve_snapshots_equal_each_prefix_alone():
+    rng = np.random.default_rng(17)
+    # n=1 and n=2 programs are one run, so their inner marks fall inside a block
+    for n in (1, 2, 3, 4, 5):
+        program = random_program(rng, n, 40)
+        marks = sorted([0, 0, 40, 40, *(int(m) for m in rng.integers(0, 41, size=8))])
+        start = init_state(n, ["down" if i % 2 else "up" for i in range(n)])
+        start = apply_gate(start, make_gate("h", [0]))
+        snapshots = list(evolve(start.amplitudes.copy(), program.gates, marks))
+        assert len(snapshots) == len(marks)
+        for mark, snapshot in zip(marks, snapshots):
+            (alone,) = evolve(start.amplitudes.copy(), program.gates[:mark], [mark])
+            assert np.array_equal(snapshot, alone)
+            state = start
+            for gate in program.gates[:mark]:
+                state = apply_gate(state, gate)
+            assert np.max(np.abs(snapshot - state.amplitudes)) <= 1e-12
+
+
+def test_evolve_in_place_and_mark_checks():
+    rng = np.random.default_rng(4)
+    program = random_program(rng, 3, 12)
+    amps = init_state(3).amplitudes
+    (final,) = evolve(amps, program.gates, [12])
+    assert np.array_equal(amps, final)
+    assert np.allclose(final, program_unitary(program)[:, 0], atol=1e-12)
+    for bad in ([3, 2], [-1], [13]):
+        with pytest.raises(GateError):
+            list(evolve(amps, program.gates, bad))

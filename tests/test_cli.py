@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from spinchain import parse_program
+from spinchain import SimulationError, parse_program, workflow
 from spinchain.cli import main
 
 TFIM_INPUT = """\
@@ -43,6 +43,15 @@ def test_run_bad_config_exits_1(tmp_path, capsys):
 def test_run_missing_file_exits_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_simulation_error_exits_2(tmp_path, input_file, monkeypatch, capsys):
+    def broken(series, plan):
+        raise SimulationError("kernel produced an unnormalized state")
+
+    monkeypatch.setattr(workflow, "simulate_series", broken)
+    assert main(["run", input_file, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "internal error: kernel produced" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -69,6 +69,18 @@ def test_apply_gate_matches_enumeration_oracle():
         assert np.allclose(got, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_run_statevector_matches_dense_oracle_product(n):
+    # independent of the kernel that program_unitary shares with run_statevector
+    rng = np.random.default_rng(300 + n)
+    for _ in range(4):
+        program = random_program(rng, n, 30)
+        expected = init_state(n).amplitudes
+        for g in program.gates:
+            expected = dense_gate_oracle(gate_matrix(g), g.qubits, n) @ expected
+        assert np.max(np.abs(run_statevector(program).amplitudes - expected)) <= 1e-12
+
+
 def test_apply_gate_reversed_two_qubit_order():
     # CNOT with control on the higher-index qubit
     state = init_state(2, ["up", "down"])  # |01>

@@ -210,8 +210,8 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
 
     ``amps`` is C-contiguous with 2^n entries on its leading axis and an
     optional trailing batch axis.  Viewed as (2^a, 2, [2^b, 2,] rest), each
-    qubit has its own axis; the first qubit is m's high bit.  A diagonal m
-    scales slices; others gather them into the spare ``work`` array.
+    qubit has its own axis; the first qubit is m's high bit.  The slices are
+    gathered into the spare ``work`` array and multiplied back in place.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
@@ -222,14 +222,8 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
         low = q + 1
     view = amps.view()
     view.shape = (*shape, -1)  # raises instead of copying a non-contiguous amps
-    k = len(qubits)
-    sub = view.transpose((1, 0, 2) if k == 1 else (1, 3, 0, 2, 4))  # qubit axes first
-    diag = m.diagonal()
-    if np.count_nonzero(m) == np.count_nonzero(diag):
-        for index, d in zip(np.ndindex(sub.shape[:k]), diag):
-            if d != 1:
-                sub[index] *= d
-        return
+    # qubit axes first
+    sub = view.transpose((1, 0, 2) if len(qubits) == 1 else (1, 3, 0, 2, 4))
     if work is None:
         work = np.empty((3, amps.size // 2), amps.dtype)
     gathered = work[:2].reshape(len(m), -1)

@@ -187,6 +187,10 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
     step_ends = [len(gates)]
     for m in range(plan.steps):
         h = field_at(model.field, m * plan.delta_t)
+        # finite inputs can still overflow a rotation angle 2 * (J or h) * dt / hbar
+        scales = (model.jx, model.jy, model.jz, h)
+        if not all(math.isfinite(2.0 * x * dt_over_hbar) for x in scales):
+            raise ValueError(f"invalid simulation inputs: a rotation angle overflows in step {m}")
         gates += field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
         for i in range(n - 1):
             gates += bond_evolution_gates(model.jx, model.jy, model.jz, dt_over_hbar, i, i + 1)

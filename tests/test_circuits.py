@@ -179,7 +179,7 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
     for qubits in ordered:
         dim = 1 << len(qubits)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
-        for m in (_random_unitary(rng, dim), phases):  # dense and diagonal paths
+        for m in (_random_unitary(rng, dim), phases):  # dense and diagonal matrices
             amps = rng.normal(size=(1 << n, *batch)) + 1j * rng.normal(size=(1 << n, *batch))
             expected = dense_gate_oracle(m, qubits, n) @ amps
             apply_matrix(amps, m, qubits)

@@ -45,6 +45,22 @@ def test_run_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Jx = 1e300\ndelta_t = 1e300\nnum_qubits = 2\n",
+        "Jz = 1.0\nh_ext = 1e308\nnum_qubits = 2\ndelta_t = 10\nsteps = 1\n",
+    ],
+    ids=["coupling", "field"],
+)
+def test_run_overflowing_angle_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "overflow.txt"
+    path.write_text(text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "angle overflows" in err
+
+
 def test_internal_simulation_error_exits_2(tmp_path, input_file, monkeypatch, capsys):
     def broken(series, plan):
         raise SimulationError("kernel produced an unnormalized state")

@@ -6,8 +6,8 @@ measurement bitstring (most significant bit of the basis-state index), and
 spin-up is identified with |0>.  Angles are stored unreduced; any mod-2*pi
 normalization happens in compiler passes, never here.
 
-One in-place kernel, ``apply_matrix``, applies gates; ``evolve`` fuses gates into
-<=2-qubit blocks for it and drives both the simulator and ``program_unitary``.
+One in-place kernel, ``apply_matrix``, applies gates; ``evolve`` folds them into
+4x4 blocks, one per qubit pair in turn, for the simulator and ``program_unitary``.
 """
 
 from __future__ import annotations
@@ -235,42 +235,77 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
         np.copyto(sub[bit], product.reshape(sub.shape[1:]))
 
 
+_EYE2 = np.eye(2, dtype=np.complex128)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of two 2x2s, without its per-call overhead
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def evolve(amps: np.ndarray, gates, marks=()):
     """Apply ``gates`` to ``amps`` in place and, for each of the non-decreasing
     ``marks``, yield the array after the first ``mark`` gates (a copy, or
     ``amps`` itself after the last gate).
 
-    Gates are split greedily from the left into maximal runs on at most two
-    qubits; each run's matrix is built by the kernel on a small identity and
-    applied once.  The runs of ``gates[:mark]`` are those of ``gates`` with
-    the last one cut at the mark, so a mark inside a run applies the run so
-    far to a copy: each snapshot is bit-identical to its prefix alone.
+    A two-qubit gate on a new pair applies the open 4x4 block in one pass and
+    opens the pair's block; gates on the open pair fold into it by a small
+    matmul with their (gate, pair) matrix, built once per call.  A single-qubit
+    gate off the pair commutes with every gate since, so it waits on its qubit
+    for the next block there.  A mark applies the open block and the waiting
+    gates (paired into 4x4s) to a copy, as the end does to ``amps``, so each
+    snapshot is bit-identical to its prefix alone.
     """
     marks = list(marks)
     if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
         raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
     work = np.empty((3, amps.size // 2), amps.dtype)
+    lifted: dict = {}
+
+    def lift(gate: Gate, pair: tuple[int, ...]) -> np.ndarray:
+        # the gate's matrix on pair (its own qubits, or the sorted pair it lies in)
+        m = lifted.get((gate, pair))
+        if m is None:
+            if pair == gate.qubits:
+                m = gate_matrix(gate)
+            elif len(gate.qubits) == 2:
+                m = lift(gate, gate.qubits).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            else:
+                m = lift(gate, gate.qubits)
+                m = _kron(m, _EYE2) if gate.qubits[0] == pair[0] else _kron(_EYE2, m)
+            lifted[(gate, pair)] = m
+        return m
+
+    pair, block = (), None  # the open run
+    waiting: dict[int, np.ndarray] = {}  # per qubit off the pair: its gates' product
+
+    def flush(target: np.ndarray) -> None:
+        if pair:
+            apply_matrix(target, block, pair, work)
+        qs = sorted(waiting)
+        for a, b in zip(qs[::2], qs[1::2]):
+            apply_matrix(target, _kron(waiting[a], waiting[b]), (a, b), work)
+        if len(qs) % 2:
+            apply_matrix(target, waiting[qs[-1]], qs[-1:], work)
+
     taken = 0  # marks yielded so far
-    start, qubits, block = 0, (), None
     for i, gate in enumerate(gates):
         while taken < len(marks) and marks[taken] == i:
             snapshot = amps.copy()
-            if qubits:
-                apply_matrix(snapshot, block, qubits, work)
+            flush(snapshot)
             yield snapshot
             taken += 1
-        new = tuple(q for q in gate.qubits if q not in qubits)
-        if len(qubits) + len(new) > 2:
-            apply_matrix(amps, block, qubits, work)
-            start, qubits, new = i, (), gate.qubits
-        if new:
-            # the run gains a qubit: rebuild its block on the larger identity
-            qubits += new
-            block = np.eye(1 << len(qubits), dtype=np.complex128)
-        for g in gates[start if new else i : i + 1]:
-            apply_matrix(block, gate_matrix(g), tuple(qubits.index(q) for q in g.qubits))
-    if qubits:
-        apply_matrix(amps, block, qubits, work)
+        qubits = gate.qubits
+        if qubits[0] in pair and qubits[-1] in pair:
+            block = lift(gate, pair) @ block
+        elif len(qubits) == 1:
+            waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
+        else:
+            if pair:
+                apply_matrix(amps, block, pair, work)
+            pair = tuple(sorted(qubits))
+            block = lift(gate, pair) @ _kron(*(waiting.pop(q, _EYE2) for q in pair))
+    flush(amps)
     for _ in marks[taken:]:  # these all equal len(gates)
         yield amps
 

@@ -175,7 +175,8 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
     """Build the steps+1 Trotter circuits for one run.
 
     The field is sampled at the step start time m*delta_t, so every circuit
-    shares the gates of its predecessors as a prefix.
+    shares the gates of its predecessors as a prefix.  Every step appends the
+    same bond gates, and the same field layer for the same h.
     """
     errors = validate(model)
     errors += validate_plan(plan)
@@ -185,15 +186,19 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
     dt_over_hbar = plan.delta_t / model.hbar
     gates = state_prep_gates(plan.initial_spins)
     step_ends = [len(gates)]
+    fields: dict[float, list[Gate]] = {}  # the field layer of each distinct h
     for m in range(plan.steps):
         h = field_at(model.field, m * plan.delta_t)
-        # finite inputs can still overflow a rotation angle 2 * (J or h) * dt / hbar
-        scales = (model.jx, model.jy, model.jz, h)
-        if not all(math.isfinite(2.0 * x * dt_over_hbar) for x in scales):
-            raise ValueError(f"invalid simulation inputs: a rotation angle overflows in step {m}")
-        gates += field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
-        for i in range(n - 1):
-            gates += bond_evolution_gates(model.jx, model.jy, model.jz, dt_over_hbar, i, i + 1)
+        if h not in fields:
+            # finite inputs can still overflow a rotation angle 2 * (J or h) * dt / hbar
+            scales = (model.jx, model.jy, model.jz, h)
+            if not all(math.isfinite(2.0 * x * dt_over_hbar) for x in scales):
+                raise ValueError(f"invalid simulation inputs: a rotation angle overflows in step {m}")
+            fields[h] = field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
+        if m == 0:  # built once, after the check above has passed the couplings
+            couplings = (model.jx, model.jy, model.jz, dt_over_hbar)
+            bonds = [g for i in range(n - 1) for g in bond_evolution_gates(*couplings, i, i + 1)]
+        gates += fields[h] + bonds
         step_ends.append(len(gates))
     return CircuitSeries(Program(n, tuple(gates)), tuple(step_ends))
 

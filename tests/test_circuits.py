@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    FieldProfile,
     GateError,
     GateKind,
+    HeisenbergModel,
     Program,
+    SimulationPlan,
+    generate_circuits,
     gate_counts,
     gate_matrix,
     make_gate,
     apply_gate,
     init_state,
     program_unitary,
+    run_statevector,
     unitary_equivalent,
 )
+from spinchain import circuits
 from spinchain.circuits import apply_matrix, evolve
 from helpers import dense_gate_oracle, random_program
 
@@ -186,23 +192,80 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
             assert np.max(np.abs(amps - expected)) <= 1e-12
 
 
+SINGLE_QUBIT_KINDS = tuple(k for k in GateKind if k.num_qubits == 1)
+
+
 def test_evolve_snapshots_equal_each_prefix_alone():
     rng = np.random.default_rng(17)
-    # n=1 and n=2 programs are one run, so their inner marks fall inside a block
+    cases = []
+    # n=1 gates all wait on their qubit; n=2 two-qubit gates share one pair, so
+    # marks after the first of them fall inside one open block
     for n in (1, 2, 3, 4, 5):
         program = random_program(rng, n, 40)
         marks = sorted([0, 0, 40, 40, *(int(m) for m in rng.integers(0, 41, size=8))])
+        cases.append((program, marks))
+    # mostly single-qubit gates, which wait off the open pair; a mark at every
+    # gate, so marks fall between waiting gates
+    for n in (1, 3, 4, 5):
+        kinds = SINGLE_QUBIT_KINDS * 4 + (GateKind.CNOT, GateKind.CZ)
+        cases.append((random_program(rng, n, 60, kinds), [0, *range(61), 60]))
+    # one pair all along: more than a thousand marks inside a single run
+    cases.append((random_program(rng, 2, 1200), list(range(1201))))
+    for program, marks in cases:
+        n = program.num_qubits
         start = init_state(n, ["down" if i % 2 else "up" for i in range(n)])
         start = apply_gate(start, make_gate("h", [0]))
         snapshots = list(evolve(start.amplitudes.copy(), program.gates, marks))
         assert len(snapshots) == len(marks)
-        for mark, snapshot in zip(marks, snapshots):
-            (alone,) = evolve(start.amplitudes.copy(), program.gates[:mark], [mark])
-            assert np.array_equal(snapshot, alone)
-            state = start
-            for gate in program.gates[:mark]:
+        state, applied = start, 0
+        for count, (mark, snapshot) in enumerate(zip(marks, snapshots)):
+            # each prefix alone costs O(mark): sample the 1,201-mark case
+            if len(marks) < 100 or count % 50 == 0 or mark == marks[-1]:
+                (alone,) = evolve(start.amplitudes.copy(), program.gates[:mark], [mark])
+                assert np.array_equal(snapshot, alone)
+            for gate in program.gates[applied:mark]:
                 state = apply_gate(state, gate)
+            applied = mark
             assert np.max(np.abs(snapshot - state.amplitudes)) <= 1e-12
+
+
+def _chain_program(n: int, steps: int) -> Program:
+    model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=FieldProfile(amplitude=1.0))
+    spins = ["down" if q % 3 == 1 else "up" for q in range(n)]
+    plan = SimulationPlan(num_qubits=n, initial_spins=spins, delta_t=0.05, steps=steps)
+    return generate_circuits(model, plan).program
+
+
+def test_run_statevector_applies_one_block_per_bond_per_step(monkeypatch):
+    n, steps = 6, 7
+    program = _chain_program(n, steps)
+    shapes = []
+
+    def counting(amps, *args):
+        shapes.append(amps.shape)
+        apply_matrix(amps, *args)
+
+    monkeypatch.setattr(circuits, "apply_matrix", counting)
+    state = run_statevector(program)
+    assert shapes == [(1 << n,)] * (steps * (n - 1))
+    expected = init_state(n)
+    for gate in program.gates:
+        expected = apply_gate(expected, gate)
+    assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+
+
+def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):
+    program = _chain_program(4, 160)
+    built = []
+
+    def counting(gate):
+        built.append(gate)
+        return gate_matrix(gate)
+
+    monkeypatch.setattr(circuits, "gate_matrix", counting)
+    run_statevector(program)
+    assert len(built) == len(set(built)) == len(set(program.gates))
+    assert len(built) < len(program) // 100
 
 
 def test_evolve_in_place_and_mark_checks():

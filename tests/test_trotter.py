@@ -147,6 +147,37 @@ def test_circuit_series_segments_and_bad_marks():
             CircuitSeries(circuits.program, bad)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        FieldProfile(amplitude=0.7),
+        FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.3, phase=0.2),
+        FieldProfile(mode="tabulated", samples=((0.0, 0.5), (0.2, -1.0), (0.5, 0.0))),
+        FieldProfile(amplitude=0.0),
+    ],
+    ids=["constant", "sinusoid", "sampled", "zero"],
+)
+def test_generation_matches_step_by_step_build(field):
+    model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=field, field_axis="y", hbar=2.0)
+    plan = SimulationPlan(
+        num_qubits=4, initial_spins=["up", "down", "down", "up"], delta_t=0.1, steps=8
+    )
+    series = generate_circuits(model, plan)
+    gates = state_prep_gates(plan.initial_spins)
+    ends = [len(gates)]
+    for m in range(plan.steps):
+        gates += field_evolution_gates(field_at(field, m * 0.1), 0.05, "y", 4)
+        for i in range(3):
+            gates += bond_evolution_gates(1.0, 0.8, 0.5, 0.05, i, i + 1)
+        ends.append(len(gates))
+    assert series.program.gates == tuple(gates)
+    assert series.step_ends == tuple(ends)
+    # every step appends the same bond gate objects
+    bonds = 3 * len(bond_evolution_gates(1.0, 0.8, 0.5, 0.05, 0, 1))
+    first, last = series.segment(1).gates[-bonds:], series.segment(-1).gates[-bonds:]
+    assert all(a is b for a, b in zip(first, last, strict=True))
+
+
 def test_time_dependent_field_sampled_at_step_start():
     field = FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.2)
     model = HeisenbergModel(jx=0, jy=0, jz=0, field=field, field_axis="x")

@@ -18,7 +18,6 @@ COMPILE_CHOICES = ("none", "generic", "domain_specific")
 UNITS_CHOICES = ("dimensionless", "ev_fs")
 # Spin word -> computational-basis bit; spin-up is |0>.
 SPIN_BITS = {"up": 0, "down": 1, "0": 0, "1": 1}
-SPIN_CHOICES = tuple(SPIN_BITS)
 
 # Largest register a run accepts; the statevector holds 2^n amplitudes.
 MAX_QUBITS = 24
@@ -97,11 +96,9 @@ def _choice_parser(choices: tuple[str, ...]):
 
 def _parse_spins(value: str, line_no: int, key: str) -> tuple[str, ...]:
     spins = tuple(part.strip().lower() for part in value.split(","))
-    for spin in spins:
-        if spin not in SPIN_CHOICES:
-            raise ConfigError(
-                f"line {line_no}: {key} entries must be up/down/0/1, got {spin!r}"
-            )
+    problems = _unknown_spins(spins)
+    if problems:
+        raise ConfigError(f"line {line_no}: {problems[0]}")
     return spins
 
 
@@ -134,22 +131,53 @@ _KEYS = {
 }
 
 
+def spin_bit(spin) -> int:
+    """Computational-basis bit of a spin word already accepted by the rules."""
+    return SPIN_BITS[str(spin).strip().lower()]
+
+
+def _unknown_spins(spins) -> list[str]:
+    for spin in spins:
+        if str(spin).strip().lower() not in SPIN_BITS:
+            return [f"initial_spins entries must be up/down/0/1, got {spin!r}"]
+    return []
+
+
+def register_problems(num_qubits: int, initial_spins) -> list[str]:
+    """Register size and one known spin per site; returns every problem."""
+    problems = []
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        problems.append(f"num_qubits must be between 1 and {MAX_QUBITS}")
+    if initial_spins is not None:
+        if len(initial_spins) != num_qubits:
+            problems.append(
+                f"initial_spins lists {len(initial_spins)} entries "
+                f"but num_qubits is {num_qubits}"
+            )
+        problems += _unknown_spins(initial_spins)
+    return problems
+
+
+def run_problems(run) -> list[str]:
+    """The rules on the fields a RunConfig and a SimulationPlan share.
+
+    ``run`` is either of them: it needs num_qubits, initial_spins, delta_t,
+    steps, shots and seed.  Returns every problem, not only the first.
+    """
+    problems = register_problems(run.num_qubits, run.initial_spins)
+    if not run.delta_t > 0:
+        problems.append("delta_t must be positive")
+    elif not math.isfinite(run.delta_t):
+        problems.append("delta_t must be finite")
+    for name in ("steps", "shots", "seed"):
+        if getattr(run, name) < 0:
+            problems.append(f"{name} must be non-negative")
+    return problems
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """Cross-field consistency checks; returns human-readable problems."""
-    problems = []
-    if not 1 <= config.num_qubits <= MAX_QUBITS:
-        problems.append(f"num_qubits must be between 1 and {MAX_QUBITS}")
-    if config.initial_spins is not None and len(config.initial_spins) != config.num_qubits:
-        problems.append(
-            f"initial_spins lists {len(config.initial_spins)} entries "
-            f"but num_qubits is {config.num_qubits}"
-        )
-    if config.delta_t <= 0:
-        problems.append("delta_t must be positive")
-    if config.steps < 0:
-        problems.append("steps must be non-negative")
-    if config.shots < 0:
-        problems.append("shots must be non-negative")
+    problems = run_problems(config)
     if config.qcqs == "computer" and config.shots < 1:
         problems.append("QCQS = computer requires shots >= 1")
     if config.noise_choice and config.shots < 1:

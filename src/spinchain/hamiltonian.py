@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FIELD_AXIS_CHOICES
+
 # hbar in eV * fs, for runs whose couplings are given in eV and times in fs.
 HBAR_EV_FS = 0.6582119569
 
 FIELD_MODES = ("constant", "sinusoid", "tabulated")
-FIELD_AXES = ("x", "y", "z")
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -78,8 +79,10 @@ def validate(model: HeisenbergModel) -> list[str]:
     for name in ("jx", "jy", "jz"):
         if not math.isfinite(getattr(model, name)):
             errors.append(f"{name}: must be finite, got {getattr(model, name)!r}")
-    if model.field_axis not in FIELD_AXES:
-        errors.append(f"field_axis: must be one of {FIELD_AXES}, got {model.field_axis!r}")
+    if model.field_axis not in FIELD_AXIS_CHOICES:
+        errors.append(
+            f"field_axis: must be one of {FIELD_AXIS_CHOICES}, got {model.field_axis!r}"
+        )
     if not (math.isfinite(model.hbar) and model.hbar > 0):
         errors.append(f"hbar: must be a positive finite number, got {model.hbar!r}")
     f = model.field

@@ -112,7 +112,3 @@ def render_svg(series: MagnetizationSeries) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_plot(series: MagnetizationSeries, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(series))

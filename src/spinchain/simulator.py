@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .circuits import Gate, Program, apply_matrix, evolve, gate_matrix, make_gate
-from .config import MAX_QUBITS, SPIN_BITS
+from .config import register_problems, spin_bit
 
 if TYPE_CHECKING:
     from .trotter import CircuitSeries, SimulationPlan
@@ -46,28 +46,15 @@ class StateVector:
             raise SimulationError(f"state is not normalized: |psi|^2 = {norm}")
 
 
-def _spin_bit(spin: str) -> int:
-    key = str(spin).strip().lower()
-    if key not in SPIN_BITS:
-        raise SimulationError(f"initial spin must be up/down (or 0/1), got {spin!r}")
-    return SPIN_BITS[key]
-
-
 def init_state(num_qubits: int, initial_spins: Sequence[str] | None = None) -> StateVector:
     """Product basis state with the given spin per site (default all up)."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise SimulationError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    spins = None if initial_spins is None else tuple(initial_spins)
+    problems = register_problems(num_qubits, spins)
+    if problems:
+        raise SimulationError("; ".join(problems))
     index = 0
-    if initial_spins is not None:
-        spins = list(initial_spins)
-        if len(spins) != num_qubits:
-            raise SimulationError(
-                f"got {len(spins)} initial spins for {num_qubits} qubit(s)"
-            )
-        for q, spin in enumerate(spins):
-            index |= _spin_bit(spin) << (num_qubits - 1 - q)
+    for q, spin in enumerate(spins or ()):
+        index |= spin_bit(spin) << (num_qubits - 1 - q)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
@@ -90,6 +77,11 @@ def run_statevector(program: Program, initial_spins: Sequence[str] | None = None
     return StateVector(program.num_qubits, final)
 
 
+def _check_qubit(qubit: int, n: int) -> None:
+    if not 0 <= qubit < n:
+        raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
+
+
 def _z_expectation(probs: np.ndarray, qubit: int) -> float:
     # <sigma^z> of one qubit from the basis-state probabilities
     return 1.0 - 2.0 * float(probs.reshape(1 << qubit, 2, -1)[:, 1].sum())
@@ -97,9 +89,7 @@ def _z_expectation(probs: np.ndarray, qubit: int) -> float:
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<sigma^z> on one qubit: +1 for |0> (spin-up), -1 for |1>."""
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
+    _check_qubit(qubit, state.num_qubits)
     return _z_expectation(np.abs(state.amplitudes) ** 2, qubit)
 
 
@@ -122,6 +112,7 @@ def magnetization_from_counts(counts: dict[str, int], qubit: int) -> float:
     shots = sum(counts.values())
     if shots < 1:
         raise SimulationError("counts are empty")
+    _check_qubit(qubit, len(next(iter(counts))))
     up = sum(c for bits, c in counts.items() if bits[qubit] == "0")
     return (up - (shots - up)) / shots
 

@@ -19,56 +19,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Gate, GateKind, Program, make_gate
-from .config import BACKEND_CHOICES, COMPILE_CHOICES, MAX_QUBITS, SPIN_CHOICES
+from .config import FIELD_AXIS_CHOICES, run_problems, spin_bit
 from .hamiltonian import HeisenbergModel, field_at, hamiltonian_matrix, validate
-from .simulator import MagnetizationSeries, NoiseParams, _spin_bit
+from .simulator import MagnetizationSeries, NoiseParams, init_state
 
 DEFAULT_SUBSTEPS = 64
 
 
 @dataclass(frozen=True, slots=True)
 class SimulationPlan:
-    """Everything about a run that is not the physics: grid, sampling, target."""
+    """Everything about a run that is not the physics: register, grid, sampling."""
 
     num_qubits: int
     initial_spins: tuple[str, ...]
     delta_t: float = 0.1
     steps: int = 10
     shots: int = 0
-    backend: str = "internal"
-    compile_mode: str = "none"
     noise: NoiseParams | None = None
     seed: int = 1
 
 
-def validate_plan(plan: SimulationPlan) -> list[str]:
-    """All plan validation failures; an empty list means valid."""
-    errors: list[str] = []
-    if not 1 <= plan.num_qubits <= MAX_QUBITS:
-        errors.append(f"num_qubits: must be in [1, {MAX_QUBITS}], got {plan.num_qubits}")
-    if plan.initial_spins is not None:
-        if len(plan.initial_spins) != plan.num_qubits:
-            errors.append(
-                f"initial_spins: got {len(plan.initial_spins)} entries for "
-                f"{plan.num_qubits} qubit(s)"
-            )
-        for spin in plan.initial_spins:
-            if str(spin).strip().lower() not in SPIN_CHOICES:
-                errors.append(f"initial_spins: unknown spin {spin!r}")
-                break
-    if not (math.isfinite(plan.delta_t) and plan.delta_t > 0):
-        errors.append(f"delta_t: must be positive and finite, got {plan.delta_t!r}")
-    if plan.steps < 0:
-        errors.append(f"steps: must be >= 0, got {plan.steps}")
-    if plan.shots < 0:
-        errors.append(f"shots: must be >= 0 (0 selects exact mode), got {plan.shots}")
-    if plan.backend not in BACKEND_CHOICES:
-        errors.append(f"backend: must be one of {BACKEND_CHOICES}, got {plan.backend!r}")
-    if plan.compile_mode not in COMPILE_CHOICES:
-        errors.append(
-            f"compile_mode: must be one of {COMPILE_CHOICES}, got {plan.compile_mode!r}"
-        )
-    return errors
+def _check_inputs(model: HeisenbergModel, plan: SimulationPlan) -> None:
+    errors = validate(model) + run_problems(plan)
+    if errors:
+        raise ValueError("invalid simulation inputs: " + "; ".join(errors))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +87,7 @@ def state_prep_gates(initial_spins) -> list[Gate]:
     """X on every spin-down site; spin-up is the |0> default."""
     gates = []
     for q, spin in enumerate(initial_spins or ()):
-        if _spin_bit(spin) == 1:
+        if spin_bit(spin) == 1:
             gates.append(make_gate(GateKind.X, [q]))
     return gates
 
@@ -162,8 +136,8 @@ def field_evolution_gates(
 
     Returns an empty layer when h is exactly zero.
     """
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be x, y or z, got {axis!r}")
+    if axis not in FIELD_AXIS_CHOICES:
+        raise ValueError(f"axis must be one of {FIELD_AXIS_CHOICES}, got {axis!r}")
     if h == 0.0:
         return []
     kind = {"x": GateKind.RX, "y": GateKind.RY, "z": GateKind.RZ}[axis]
@@ -178,10 +152,7 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
     shares the gates of its predecessors as a prefix.  Every step appends the
     same bond gates, and the same field layer for the same h.
     """
-    errors = validate(model)
-    errors += validate_plan(plan)
-    if errors:
-        raise ValueError("invalid simulation inputs: " + "; ".join(errors))
+    _check_inputs(model, plan)
     n = plan.num_qubits
     dt_over_hbar = plan.delta_t / model.hbar
     gates = state_prep_gates(plan.initial_spins)
@@ -201,16 +172,6 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
         gates += fields[h] + bonds
         step_ends.append(len(gates))
     return CircuitSeries(Program(n, tuple(gates)), tuple(step_ends))
-
-
-def _initial_vector(plan: SimulationPlan) -> np.ndarray:
-    n = plan.num_qubits
-    index = 0
-    for q, spin in enumerate(plan.initial_spins or ()):
-        index |= _spin_bit(spin) << (n - 1 - q)
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    psi[index] = 1.0
-    return psi
 
 
 def _z_expectations(psi: np.ndarray, n: int) -> list[float]:
@@ -235,15 +196,12 @@ def exact_evolution(
     midpoint and exponentiated through an eigendecomposition.  This is the
     oracle the circuit series is expected to converge to as delta_t -> 0.
     """
-    errors = validate(model)
-    errors += validate_plan(plan)
-    if errors:
-        raise ValueError("invalid simulation inputs: " + "; ".join(errors))
+    _check_inputs(model, plan)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     n = plan.num_qubits
     delta = plan.delta_t / substeps
-    psi = _initial_vector(plan)
+    psi = init_state(n, plan.initial_spins).amplitudes
 
     field_is_static = (
         model.field.mode == "constant"

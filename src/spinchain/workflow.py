@@ -53,8 +53,6 @@ def build_plan(config: RunConfig) -> SimulationPlan:
         delta_t=config.delta_t,
         steps=config.steps,
         shots=config.shots,
-        backend=config.backend,
-        compile_mode=config.compile_mode,
         noise=NoiseParams() if config.noise_choice else None,
         seed=config.seed,
     )

@@ -61,6 +61,15 @@ def test_run_overflowing_angle_exits_1(tmp_path, capsys, text):
     assert err.startswith("error:") and "angle overflows" in err
 
 
+def test_run_negative_seed_exits_1_before_writing(tmp_path, capsys):
+    path = tmp_path / "seed.txt"
+    path.write_text(TFIM_INPUT + "shots = 10\nseed = -3\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (out / "data").exists()
+
+
 def test_internal_simulation_error_exits_2(tmp_path, input_file, monkeypatch, capsys):
     def broken(series, plan):
         raise SimulationError("kernel produced an unnormalized state")

@@ -126,6 +126,12 @@ def test_magnetization_from_counts():
     assert magnetization_from_counts(counts, 1) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("qubit", [-1, 2, 5])
+def test_magnetization_from_counts_rejects_qubit_outside_register(qubit):
+    with pytest.raises(SimulationError, match=f"qubit {qubit} out of range for 2 qubits"):
+        magnetization_from_counts({"01": 3, "11": 1}, qubit)
+
+
 def test_run_noisy_zero_noise_matches_plain_sampling():
     rng = np.random.default_rng(40)
     prog = random_program(rng, 3, 10)

@@ -1,0 +1,41 @@
+"""The benchmark's tracer wraps module attributes by name; they must exist.
+
+``perfbench/tracing.py`` replaces functions such as
+``spinchain.workflow.render_svg`` at the attribute the caller looks up.  A
+simplification that deletes or renames one of them would only show up as a
+crash of ``perfbench/run.py --trace 1``; this test makes it fail here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import spinchain
+import spinchain.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_on_current_modules(tmp_path):
+    tracing = _load_tracing()
+    original = spinchain.workflow.simulate_series
+    tracer = tracing.Tracer()
+    tracing.install(tracer, spinchain)
+    try:
+        assert spinchain.workflow.simulate_series is not original
+        path = tmp_path / "run.txt"
+        path.write_text("Jz = 1.0\nh_ext = 2.0\nnum_qubits = 2\nsteps = 2\nshots = 8\n")
+        tracer.start_op(0)
+        assert spinchain.cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.close()
+    assert spinchain.workflow.simulate_series is original
+    names = {span[0] for _, span in tracer.op_spans(0)}
+    assert {"cli.main", "trotter.generate", "simulator.simulate", "plotting.render"} <= names
+    assert tracer.counts[0]["simulator.num_qubits"] == 2

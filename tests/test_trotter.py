@@ -11,20 +11,22 @@ from spinchain import (
     GateKind,
     HeisenbergModel,
     Program,
+    SimulationError,
     SimulationPlan,
     exact_evolution,
     field_at,
     generate_circuits,
     hamiltonian_matrix,
+    init_state,
     program_unitary,
     simulate_series,
     unitary_equivalent,
 )
+from spinchain.config import ConfigError, parse_input_text, run_problems
 from spinchain.trotter import (
     bond_evolution_gates,
     field_evolution_gates,
     state_prep_gates,
-    validate_plan,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -210,15 +212,42 @@ def test_validate_plan_messages():
         delta_t=-1.0,
         steps=-2,
         shots=-3,
-        backend="cloud",
-        compile_mode="jit",
     )
-    problems = "\n".join(validate_plan(bad))
-    for token in ("num_qubits", "initial_spins", "delta_t", "steps", "shots", "backend", "compile_mode"):
+    problems = "\n".join(run_problems(bad))
+    for token in ("num_qubits", "initial_spins", "delta_t", "steps", "shots"):
         assert token in problems
-    assert validate_plan(SimulationPlan(num_qubits=2, initial_spins=None)) == []
+    assert run_problems(SimulationPlan(num_qubits=2, initial_spins=None)) == []
     with pytest.raises(ValueError):
         generate_circuits(HeisenbergModel(jx=0, jy=0, jz=0), bad)
+
+
+def test_negative_seed_is_rejected_before_generation():
+    plan = SimulationPlan(num_qubits=2, initial_spins=None, seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        generate_circuits(HeisenbergModel(jz=1.0), plan)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        exact_evolution(HeisenbergModel(jz=1.0), plan)
+
+
+def test_file_and_library_give_the_same_problem_text():
+    expected = "num_qubits must be between 1 and 24"
+    with pytest.raises(ConfigError) as from_file:
+        parse_input_text("num_qubits = 25\n")
+    plan = SimulationPlan(num_qubits=25, initial_spins=None)
+    with pytest.raises(ValueError) as from_library:
+        generate_circuits(HeisenbergModel(jz=1.0), plan)
+    assert str(from_file.value) == expected
+    assert str(from_library.value) == f"invalid simulation inputs: {expected}"
+
+
+def test_unknown_spin_is_rejected_everywhere():
+    plan = SimulationPlan(num_qubits=2, initial_spins=("up", "sideways"))
+    message = "initial_spins entries must be up/down/0/1, got 'sideways'"
+    assert run_problems(plan) == [message]
+    with pytest.raises(ValueError, match=message):
+        generate_circuits(HeisenbergModel(jz=1.0), plan)
+    with pytest.raises(SimulationError, match=message):
+        init_state(2, plan.initial_spins)
 
 
 def test_exact_evolution_static_matches_dense_expm():

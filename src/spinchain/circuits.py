@@ -358,7 +358,7 @@ def gate_counts(program: Program) -> GateCounts:
     one = two = 0
     for g in program.gates:
         by_kind[g.kind] = by_kind.get(g.kind, 0) + 1
-        if g.kind.num_qubits == 1:
+        if len(g.qubits) == 1:
             one += 1
         else:
             two += 1

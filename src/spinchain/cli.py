@@ -94,8 +94,7 @@ def _cmd_compile(args) -> int:
         f"compiled {report.input_counts.total} -> {report.output_counts.total} gates "
         f"for {args.target} ({mode})"
     )
-    if report.equivalence_checked:
-        print(f"equivalence fidelity: {report.equivalence_fidelity:.12f}")
+    print(report.fidelity_line())
     print(f"wrote {args.output}")
     return 0
 

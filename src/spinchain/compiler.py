@@ -10,6 +10,12 @@ optimization.  ``ds_compile`` lowers and then runs a round-robin pipeline of
 rewriting passes to a fixpoint; every rewrite preserves the program unitary
 up to a global phase, which the report records as a fidelity whenever the
 register is small enough to check densely.
+
+Each pass is one linear sweep: the gate list is held as a doubly linked list
+whose nodes are also linked per wire, so finding the next gate on a qubit,
+deleting a gate and moving one are O(1).  A memo, one per run, holds each
+distinct source gate's lowering and each distinct single-qubit run's
+synthesis, so the step segments of a run share that work.
 """
 
 from __future__ import annotations
@@ -180,17 +186,36 @@ def _lower_gate_rigetti(g: Gate) -> list[Gate]:
     raise CompileError(f"no rigetti lowering for {k.value}")
 
 
-def _lower_gates(gates, target: NativeTarget) -> list[Gate]:
+def _memo_tables(memo: dict | None, target: NativeTarget) -> tuple[dict, dict]:
+    # memo's (lowered, synthesized) tables for target: {source gate: its
+    # lowering} and {run of single-qubit gates: its synthesis}
+    return ({} if memo is None else memo).setdefault(target, ({}, {}))
+
+
+def _memo_key(gates: tuple[Gate, ...]):
+    # Gates compare by value, and an angle of -0.0 equals 0.0 but prints as
+    # "-0"; when any angle is zero, its text keeps the two zeros apart.
+    if any(0.0 in g.angles for g in gates):
+        return gates, repr([g.angles for g in gates])
+    return gates
+
+
+def _lower_gates(gates, target: NativeTarget, lowered: dict) -> list[Gate]:
     table = _lower_gate_ibm if target is NativeTarget.IBM else _lower_gate_rigetti
     out: list[Gate] = []
     for g in gates:
-        out.extend(table(g))
+        key = _memo_key((g,))
+        sub = lowered.get(key)
+        if sub is None:
+            sub = lowered[key] = table(g)
+        out += sub
     return out
 
 
-def lower_generic(program: Program, target: NativeTarget) -> Program:
+def lower_generic(program: Program, target: NativeTarget, memo: dict | None = None) -> Program:
     """Gate-by-gate substitution into the target set; no optimization."""
-    return Program(program.num_qubits, tuple(_lower_gates(program.gates, target)))
+    lowered, _ = _memo_tables(memo, target)
+    return Program(program.num_qubits, tuple(_lower_gates(program.gates, target, lowered)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +224,61 @@ def lower_generic(program: Program, target: NativeTarget) -> Program:
 # means: no gate in between touches any of the qubits involved.
 
 
-def _next_touching(gates: list[Gate], start: int, qubits) -> int | None:
-    qs = set(qubits)
-    for j in range(start + 1, len(gates)):
-        if qs.intersection(gates[j].qubits):
-            return j
-    return None
+class _Links:
+    """A gate list as a doubly linked list whose nodes are also linked per wire.
+
+    Node i starts as ``gates[i]``.  ``after``/``before`` give the list order and
+    ``wire_after[i][q]``/``wire_before[i][q]`` the next and previous node on
+    qubit q.  Node ``end`` (gate None) closes the list and every wire, so the
+    next gate touching a node's qubits is one lookup, and deleting or moving a
+    node is O(1).  A sweep visits the nodes in list order; after a merge it
+    looks at the same node again, after a cancel or a move it goes on at the
+    node's old successor.
+    """
+
+    def __init__(self, gates) -> None:
+        n = self.end = len(gates)
+        self.gates = [*gates, None]
+        self.after = [*range(1, n + 1), 0]
+        self.before = [n, *range(n)]
+        self.wire_after = [dict.fromkeys(g.qubits, n) for g in gates] + [{}]
+        self.wire_before: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        last: dict[int, int] = {}
+        for i, g in enumerate(gates):
+            for q in g.qubits:
+                p = self.wire_before[i][q] = last.get(q, n)
+                self.wire_after[p][q] = last[q] = i
+
+    def next_touching(self, i: int) -> int:
+        """The next node on every wire of node i (a gate has one or two), or
+        end if no one node is."""
+        qubits, wires = self.gates[i].qubits, self.wire_after[i]
+        j = wires[qubits[0]]
+        return j if wires[qubits[-1]] == j else self.end
+
+    def delete(self, i: int) -> None:
+        a, b = self.after[i], self.before[i]
+        self.after[b], self.before[a] = a, b
+        for q, p in self.wire_before[i].items():
+            s = self.wire_after[i][q]
+            self.wire_after[p][q], self.wire_before[s][q] = s, p
+
+    def insert_after(self, i: int, e: int) -> None:
+        """Link the deleted node i back in right after node e, which touches
+        every wire of i."""
+        a = self.after[e]
+        self.after[e], self.before[i], self.after[i], self.before[a] = i, e, a, i
+        for q in self.wire_before[i]:
+            s = self.wire_after[e][q]
+            self.wire_after[e][q] = self.wire_before[s][q] = i
+            self.wire_before[i][q], self.wire_after[i][q] = e, s
+
+    def in_order(self) -> list[Gate]:
+        out, i = [], self.after[self.end]
+        while i != self.end:
+            out.append(self.gates[i])
+            i = self.after[i]
+        return out
 
 
 def _pass_merge_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]:
@@ -214,43 +288,47 @@ def _pass_merge_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]
     itself native (or zero, which the drop pass then removes); anything else
     would push the gate out of the allowed angle set.
     """
-    out = list(gates)
-    i = 0
-    while i < len(out):
-        g = out[i]
+    links = _Links(gates)
+    i = links.after[links.end]
+    while i != links.end:
+        g = links.gates[i]
         if g.kind in _ROTATION_KINDS:
-            j = _next_touching(out, i, g.qubits)
-            if j is not None and out[j].kind is g.kind and out[j].qubits == g.qubits:
-                total = _wrap(g.angles[0] + out[j].angles[0])
+            j = links.next_touching(i)
+            h = links.gates[j]
+            if h is not None and h.kind is g.kind and h.qubits == g.qubits:
+                total = _wrap(g.angles[0] + h.angles[0])
                 mergeable = True
                 if g.kind is GateKind.RX and target is NativeTarget.RIGETTI:
                     mergeable = abs(total) <= ZERO_ANGLE_TOL or _rx_native(total)
                 if mergeable:
-                    del out[j]
-                    out[i] = make_gate(g.kind, g.qubits, [total])
+                    links.delete(j)
+                    links.gates[i] = make_gate(g.kind, g.qubits, [total])
                     continue
-        i += 1
-    return out
+        i = links.after[i]
+    return links.in_order()
 
 
 def _pass_cancel_inverse_pairs(gates: list[Gate], target: NativeTarget) -> list[Gate]:
     """Drop adjacent identical self-inverse pairs (H, X, CNOT, CZ)."""
-    out = list(gates)
-    i = 0
-    while i < len(out):
-        g = out[i]
+    links = _Links(gates)
+    i = links.after[links.end]
+    while i != links.end:
+        g = links.gates[i]
         if g.kind in _SELF_INVERSE_KINDS:
-            j = _next_touching(out, i, g.qubits)
-            if j is not None and out[j].kind is g.kind:
-                same = out[j].qubits == g.qubits or (
-                    g.kind is GateKind.CZ and set(out[j].qubits) == set(g.qubits)
+            j = links.next_touching(i)
+            h = links.gates[j]
+            if h is not None and h.kind is g.kind:
+                same = h.qubits == g.qubits or (
+                    g.kind is GateKind.CZ and set(h.qubits) == set(g.qubits)
                 )
                 if same:
-                    del out[j]
-                    del out[i]
+                    links.delete(j)
+                    successor = links.after[i]
+                    links.delete(i)
+                    i = successor
                     continue
-        i += 1
-    return out
+        i = links.after[i]
+    return links.in_order()
 
 
 def _pass_drop_zero_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]:
@@ -283,14 +361,14 @@ def _pass_commute_through_entanglers(gates: list[Gate], target: NativeTarget) ->
     drift is rightward only, which both terminates and parks rotations next
     to each other for the merge and fuse passes.
     """
-    out = list(gates)
-    i = 0
-    while i < len(out):
-        g = out[i]
-        if g.kind.num_qubits == 1:
-            j = _next_touching(out, i, g.qubits)
-            if j is not None:
-                e = out[j]
+    links = _Links(gates)
+    i = links.after[links.end]
+    while i != links.end:
+        g = links.gates[i]
+        if len(g.qubits) == 1:
+            j = links.next_touching(i)
+            e = links.gates[j]
+            if e is not None:
                 q = g.qubits[0]
                 movable = False
                 if e.kind is GateKind.CZ:
@@ -301,11 +379,13 @@ def _pass_commute_through_entanglers(gates: list[Gate], target: NativeTarget) ->
                     else:
                         movable = _commutes_with_x(g)
                 if movable:
-                    del out[i]
-                    out.insert(j, g)
+                    successor = links.after[i]
+                    links.delete(i)
+                    links.insert_after(i, j)
+                    i = successor
                     continue
-        i += 1
-    return out
+        i = links.after[i]
+    return links.in_order()
 
 
 def _zyz_angles(m: np.ndarray) -> tuple[float, float, float]:
@@ -357,18 +437,24 @@ def _resynthesize(m: np.ndarray, target: NativeTarget, q: int) -> list[Gate]:
     return out
 
 
-def _pass_fuse_single_qubit_runs(gates: list[Gate], target: NativeTarget) -> list[Gate]:
+def _pass_fuse_single_qubit_runs(
+    gates: list[Gate], target: NativeTarget, synthesized: dict | None = None
+) -> list[Gate]:
     """Collapse maximal single-qubit runs when a shorter native form exists.
 
     A run is a wire-contiguous stretch of single-qubit gates on one qubit.
     Its product is re-synthesized (one U3 on IBM, a native ZXZXZ-style
     sequence on RIGETTI) and substituted at the position of the run's first
-    gate, but only when that is strictly shorter.
+    gate, but only when that is strictly shorter.  ``synthesized`` maps each
+    run met before (its gates, in order) to its synthesis, so that equal runs
+    are synthesized once.
     """
+    if synthesized is None:
+        synthesized = {}
     runs: list[list[int]] = []
     open_runs: dict[int, list[int]] = {}
     for idx, g in enumerate(gates):
-        if g.kind.num_qubits == 1:
+        if len(g.qubits) == 1:
             open_runs.setdefault(g.qubits[0], []).append(idx)
         else:
             for q in g.qubits:
@@ -382,10 +468,14 @@ def _pass_fuse_single_qubit_runs(gates: list[Gate], target: NativeTarget) -> lis
     for run in runs:
         if len(run) < 2:
             continue
-        m = np.eye(2, dtype=np.complex128)
-        for idx in run:
-            m = gate_matrix(gates[idx]) @ m
-        synth = _resynthesize(m, target, gates[run[0]].qubits[0])
+        run_gates = tuple(gates[idx] for idx in run)
+        key = _memo_key(run_gates)
+        synth = synthesized.get(key)
+        if synth is None:
+            m = np.eye(2, dtype=np.complex128)
+            for g in run_gates:
+                m = gate_matrix(g) @ m
+            synth = synthesized[key] = _resynthesize(m, target, run_gates[0].qubits[0])
         if len(synth) < len(run):
             replacements[run[0]] = synth
             dropped.update(run)
@@ -425,6 +515,11 @@ class CompileReport:
     equivalence_checked: bool
     equivalence_fidelity: float | None
 
+    def fidelity_line(self) -> str:
+        if self.equivalence_checked:
+            return f"equivalence fidelity: {self.equivalence_fidelity:.12f}"
+        return "equivalence fidelity: not checked (register too large)"
+
 
 def _equivalence(a: Program, b: Program) -> tuple[bool, float | None]:
     if a.num_qubits > EQUIV_CHECK_MAX_QUBITS:
@@ -452,19 +547,26 @@ def _report(
     )
 
 
-def ds_compile(program: Program, target: NativeTarget) -> tuple[Program, CompileReport]:
+def ds_compile(
+    program: Program, target: NativeTarget, memo: dict | None = None
+) -> tuple[Program, CompileReport]:
     """Lower to the target set, then optimize to a fixpoint.
 
     The pass pipeline runs round-robin; a full round with no change ends the
     loop.  Exceeding MAX_PASS_ROUNDS means some rewrite is cycling, which is
-    a bug worth surfacing rather than hiding.
+    a bug worth surfacing rather than hiding.  ``memo`` is as for
+    ``compile_program``.
     """
-    gates = _lower_gates(program.gates, target)
+    lowered, synthesized = _memo_tables(memo, target)
+    gates = _lower_gates(program.gates, target, lowered)
     applied = [("lower_generic", len(gates) - len(program.gates))]
     for _ in range(MAX_PASS_ROUNDS):
         changed = False
         for name, pass_fn in _PASSES:
-            new = pass_fn(gates, target)
+            if pass_fn is _pass_fuse_single_qubit_runs:
+                new = pass_fn(gates, target, synthesized)
+            else:
+                new = pass_fn(gates, target)
             if new != gates:
                 applied.append((name, len(new) - len(gates)))
                 gates = new
@@ -480,11 +582,18 @@ def ds_compile(program: Program, target: NativeTarget) -> tuple[Program, Compile
 
 
 def compile_program(
-    program: Program, target: NativeTarget, mode: str
+    program: Program, target: NativeTarget, mode: str, memo: dict | None = None
 ) -> tuple[Program, CompileReport]:
-    """Dispatch on compile mode: 'generic' lowering or 'domain_specific'."""
+    """Dispatch on compile mode: 'generic' lowering or 'domain_specific'.
+
+    ``memo`` is a dict that carries work from one call to the next: each
+    distinct source gate's lowering and each distinct single-qubit run's
+    synthesis (kept even when it is not shorter).  Its keys are whole gates,
+    so a hit returns exactly what the work would.  Pass one fresh dict to the
+    compilations of one run and drop it with the run.
+    """
     if mode == "generic":
-        lowered = lower_generic(program, target)
+        lowered = lower_generic(program, target, memo)
         report = _report(
             program,
             lowered,
@@ -493,5 +602,5 @@ def compile_program(
         )
         return lowered, report
     if mode == "domain_specific":
-        return ds_compile(program, target)
+        return ds_compile(program, target, memo)
     raise CompileError(f"unknown compile mode {mode!r}")

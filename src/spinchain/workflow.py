@@ -61,22 +61,30 @@ def build_plan(config: RunConfig) -> SimulationPlan:
 def prepare_circuits(
     config: RunConfig,
 ) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
-    """Generate the Trotter series, compiling it when the config asks for it.
+    """Generate the Trotter series, compiling it when the config asks for it."""
+    return compile_series(generate_circuits(build_model(config), build_plan(config)), config)
+
+
+def compile_series(
+    circuits: CircuitSeries, config: RunConfig
+) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
+    """Compile each step segment, when the config asks for it.
 
     Each step segment is compiled on its own, so no rewrite crosses a step
     mark and every compiled circuit is the compiled prefix of its source.
+    The segments share one compile memo, which lives as long as this call.
     """
-    model = build_model(config)
-    plan = build_plan(config)
-    circuits = generate_circuits(model, plan)
     if config.compile_mode == "none":
         return circuits, None
     target = NativeTarget.from_name(config.backend)
+    memo: dict = {}
     gates = []
     step_ends = []
     reports = []
     for index in range(len(circuits)):
-        out, report = compile_program(circuits.segment(index), target, config.compile_mode)
+        out, report = compile_program(
+            circuits.segment(index), target, config.compile_mode, memo
+        )
         gates += out.gates
         step_ends.append(len(gates))
         reports.append(report)
@@ -113,10 +121,7 @@ def _format_report(index: int, report: CompileReport) -> list[str]:
     lines.append("  passes:")
     for name, delta in report.passes_applied:
         lines.append(f"    {name}: {delta:+d}")
-    if report.equivalence_checked:
-        lines.append(f"  equivalence fidelity: {report.equivalence_fidelity:.12f}")
-    else:
-        lines.append("  equivalence fidelity: not checked (register too large)")
+    lines.append(f"  {report.fidelity_line()}")
     return lines
 
 
@@ -132,8 +137,12 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
     timings: list[tuple[str, float]] = []
 
     started = time.perf_counter()
-    circuits, reports = prepare_circuits(config)
-    timings.append(("generate+compile", time.perf_counter() - started))
+    circuits = generate_circuits(build_model(config), plan)
+    timings.append(("generate", time.perf_counter() - started))
+
+    started = time.perf_counter()
+    circuits, reports = compile_series(circuits, config)
+    timings.append(("compile", time.perf_counter() - started))
 
     started = time.perf_counter()
     series = simulate_series(circuits, plan)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spinchain import GateKind, Program, make_gate
+from spinchain import GateKind, Program, compiler, make_gate
 
 ALL_KINDS = tuple(GateKind)
 
@@ -59,3 +59,85 @@ def programs_structurally_equal(a: Program, b: Program, angle_tol: float = 1e-12
         if any(abs(x - y) > angle_tol for x, y in zip(ga.angles, gb.angles)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Quadratic oracles for the compiler's linked-list passes.  These are the
+# passes as first written: index scans over a plain list, with a forward
+# search for the next gate touching a qubit.  Each must return exactly the
+# list its linked counterpart in spinchain.compiler returns.
+
+
+def _next_touching(gates, start, qubits):
+    qs = set(qubits)
+    for j in range(start + 1, len(gates)):
+        if qs.intersection(gates[j].qubits):
+            return j
+    return None
+
+
+def merge_rotations_oracle(gates, target):
+    out = list(gates)
+    i = 0
+    while i < len(out):
+        g = out[i]
+        if g.kind in compiler._ROTATION_KINDS:
+            j = _next_touching(out, i, g.qubits)
+            if j is not None and out[j].kind is g.kind and out[j].qubits == g.qubits:
+                total = compiler._wrap(g.angles[0] + out[j].angles[0])
+                mergeable = True
+                if g.kind is GateKind.RX and target is compiler.NativeTarget.RIGETTI:
+                    mergeable = (
+                        abs(total) <= compiler.ZERO_ANGLE_TOL or compiler._rx_native(total)
+                    )
+                if mergeable:
+                    del out[j]
+                    out[i] = make_gate(g.kind, g.qubits, [total])
+                    continue
+        i += 1
+    return out
+
+
+def cancel_inverse_pairs_oracle(gates, target):
+    out = list(gates)
+    i = 0
+    while i < len(out):
+        g = out[i]
+        if g.kind in compiler._SELF_INVERSE_KINDS:
+            j = _next_touching(out, i, g.qubits)
+            if j is not None and out[j].kind is g.kind:
+                same = out[j].qubits == g.qubits or (
+                    g.kind is GateKind.CZ and set(out[j].qubits) == set(g.qubits)
+                )
+                if same:
+                    del out[j]
+                    del out[i]
+                    continue
+        i += 1
+    return out
+
+
+def commute_through_entanglers_oracle(gates, target):
+    out = list(gates)
+    i = 0
+    while i < len(out):
+        g = out[i]
+        if g.kind.num_qubits == 1:
+            j = _next_touching(out, i, g.qubits)
+            if j is not None:
+                e = out[j]
+                q = g.qubits[0]
+                movable = False
+                if e.kind is GateKind.CZ:
+                    movable = compiler._is_diagonal(g)
+                elif e.kind is GateKind.CNOT:
+                    if q == e.qubits[0]:
+                        movable = compiler._is_diagonal(g)
+                    else:
+                        movable = compiler._commutes_with_x(g)
+                if movable:
+                    del out[i]
+                    out.insert(j, g)
+                    continue
+        i += 1
+    return out

@@ -133,3 +133,16 @@ def test_compile_generic_mode(tmp_path, capsys):
         program = parse_program(handle.read(), "quil")
     # plain lowering keeps both hadamards (3 native gates each)
     assert len(program.gates) == 6
+
+
+def test_compile_above_the_check_size_says_not_checked(tmp_path, capsys):
+    circuit = tmp_path / "wide.quil"
+    circuit.write_text("DECLARE ro BIT[11]\nH 10\nCNOT 0 10\nH 10\n")
+    out = str(tmp_path / "out.quil")
+    for flags in ([], ["--ds"]):
+        code = main(
+            ["compile", "--dialect", "quil", "--target", "ibm", *flags, str(circuit), out]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == "equivalence fidelity: not checked (register too large)"

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import spinchain
 import spinchain.cli
+from spinchain import RunConfig
+from spinchain.workflow import prepare_circuits
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +41,24 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
     names = {span[0] for _, span in tracer.op_spans(0)}
     assert {"cli.main", "trotter.generate", "simulator.simulate", "plotting.render"} <= names
     assert tracer.counts[0]["simulator.num_qubits"] == 2
+
+
+def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
+    # the compiler.* metrics time workflow.compile_program per segment and
+    # compiler.program_unitary per dense check (source and output)
+    calls = {"compile_program": 0, "program_unitary": 0}
+    for module, name in ((spinchain.workflow, "compile_program"), (spinchain.compiler, "program_unitary")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    config = RunConfig(
+        jx=1.0, jz=0.5, h_ext=1.0, num_qubits=3, steps=4, backend="rigetti",
+        compile_mode="domain_specific",
+    )
+    circuits, reports = prepare_circuits(config)
+    assert len(reports) == len(circuits) == 5
+    assert calls == {"compile_program": 5, "program_unitary": 10}

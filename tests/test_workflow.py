@@ -114,6 +114,9 @@ def test_run_workflow_artifacts(tmp_path, tfim_config):
     assert "delta_t = 0.1" in log
     assert "exact statevector" in log
     assert "circuit 4" in log
+    # generation and compilation are timed apart
+    timed = [line.split(":")[0].strip() for line in log.split("timings:\n")[1].splitlines()[:4]]
+    assert timed == ["generate", "compile", "simulate", "write"]
     assert artifacts.report_path is None
 
 

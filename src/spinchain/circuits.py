@@ -137,12 +137,13 @@ class Program:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def _slice(self, start: int, stop: int) -> "Program":
-        # gates[start:stop] as a program, skipping the checks they passed here
-        sliced = object.__new__(Program)
-        object.__setattr__(sliced, "num_qubits", self.num_qubits)
-        object.__setattr__(sliced, "gates", self.gates[start:stop])
-        return sliced
+    @staticmethod
+    def _unchecked(num_qubits: int, gates: tuple[Gate, ...]) -> "Program":
+        # a program of gates that passed these checks in a program of this width
+        program = object.__new__(Program)
+        object.__setattr__(program, "num_qubits", num_qubits)
+        object.__setattr__(program, "gates", gates)
+        return program
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -255,6 +256,11 @@ def evolve(amps: np.ndarray, gates, marks=()):
     for the next block there.  A mark applies the open block and the waiting
     gates (paired into 4x4s) to a copy, as the end does to ``amps``, so each
     snapshot is bit-identical to its prefix alone.
+
+    The fold records the blocks it applies between two marks.  A later stretch
+    of the same gate objects that starts from the same open pair, block bytes
+    and waiting bytes replays those blocks instead, so a repeated Trotter step
+    costs its state passes and no per-gate work.
     """
     marks = list(marks)
     if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
@@ -288,25 +294,45 @@ def evolve(amps: np.ndarray, gates, marks=()):
         if len(qs) % 2:
             apply_matrix(target, waiting[qs[-1]], qs[-1:], work)
 
-    taken = 0  # marks yielded so far
-    for i, gate in enumerate(gates):
-        while taken < len(marks) and marks[taken] == i:
+    # (stretch gate ids, entry state) -> (blocks applied, exit state, the stretch,
+    # kept so that its gates, and so the ids in the key, stay alive)
+    replays: dict = {}
+    inner = [m for m in marks if m < len(gates)]
+    start = 0
+    for stop in [*inner, len(gates)]:
+        if stop > start:
+            stretch = gates[start:stop]
+            key = (
+                tuple(map(id, stretch)), pair, block.tobytes() if pair else b"",
+                tuple((q, m.tobytes()) for q, m in sorted(waiting.items())),
+            )
+            if key in replays:
+                applied, (pair, block, waiting), _ = replays[key]
+                waiting = dict(waiting)
+                for m, on in applied:
+                    apply_matrix(amps, m, on, work)
+            else:
+                applied = []
+                for gate in stretch:
+                    qubits = gate.qubits
+                    if qubits[0] in pair and qubits[-1] in pair:
+                        block = lift(gate, pair) @ block
+                    elif len(qubits) == 1:
+                        waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
+                    else:
+                        if pair:
+                            apply_matrix(amps, block, pair, work)
+                            applied.append((block, pair))
+                        pair = tuple(sorted(qubits))
+                        block = lift(gate, pair) @ _kron(*(waiting.pop(q, _EYE2) for q in pair))
+                replays[key] = applied, (pair, block, dict(waiting)), stretch
+            start = stop
+        if stop < len(gates):
             snapshot = amps.copy()
             flush(snapshot)
             yield snapshot
-            taken += 1
-        qubits = gate.qubits
-        if qubits[0] in pair and qubits[-1] in pair:
-            block = lift(gate, pair) @ block
-        elif len(qubits) == 1:
-            waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
-        else:
-            if pair:
-                apply_matrix(amps, block, pair, work)
-            pair = tuple(sorted(qubits))
-            block = lift(gate, pair) @ _kron(*(waiting.pop(q, _EYE2) for q in pair))
     flush(amps)
-    for _ in marks[taken:]:  # these all equal len(gates)
+    for _ in marks[len(inner):]:  # these all equal len(gates)
         yield amps
 
 

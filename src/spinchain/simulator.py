@@ -5,8 +5,9 @@ character of a bitstring, i.e. the most significant bit of the state index,
 and spin-up is |0>.  All randomness flows through numpy's default PCG64
 generator seeded explicitly, so identical seeds give identical outputs.
 
-Exact runs use ``circuits.evolve`` (fused blocks, in place); noisy ones apply
-each gate and Pauli in place.  Each returned ``StateVector`` is checked once.
+Exact runs use ``circuits.evolve`` (fused blocks, in place, a repeated step
+replayed from its recorded blocks); noisy ones apply each gate and Pauli in
+place.  Each returned ``StateVector`` is checked once.
 """
 
 from __future__ import annotations
@@ -160,16 +161,18 @@ def run_noisy(
     rng = np.random.default_rng(seed)
     n = program.num_qubits
     initial = init_state(n, initial_spins).amplitudes
-    matrices = [gate_matrix(g) for g in program.gates]
+    gates = [  # each gate's qubits, matrix and error probability, taken once
+        (g.qubits, gate_matrix(g), noise.p1 if len(g.qubits) == 1 else noise.p2)
+        for g in program.gates
+    ]
     work = np.empty((3, initial.size // 2), initial.dtype)
     counts: dict[str, int] = {}
     dim = 1 << n
     for _ in range(shots):
         amps = initial.copy()
-        for gate, matrix in zip(program.gates, matrices):
-            apply_matrix(amps, matrix, gate.qubits, work)
-            p = noise.p1 if gate.kind.num_qubits == 1 else noise.p2
-            for q in gate.qubits:
+        for qubits, matrix, p in gates:
+            apply_matrix(amps, matrix, qubits, work)
+            for q in qubits:
                 if rng.random() < p:
                     apply_matrix(amps, _PAULIS[rng.integers(3)], (q,), work)
         probs = np.abs(amps) ** 2
@@ -207,7 +210,8 @@ def _series_states(series: "CircuitSeries"):
     """Yield the state after each circuit of the series.
 
     Circuit k is a prefix of the series program, so the program runs once
-    from |0...0> and the state is snapshotted at every step mark.
+    from |0...0> and the state is snapshotted at every step mark.  A step
+    that repeats a segment's gates from the same fuser state is replayed.
     """
     n = series.program.num_qubits
     amps = init_state(n).amplitudes

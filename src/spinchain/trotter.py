@@ -4,8 +4,10 @@ One evolution step of length dt applies the field layer sampled at the step
 start time, then the bond layer over pairs (i, i+1) in ascending order.  A
 run over `steps` steps yields steps+1 circuits: circuit n evolves to time
 n*dt, and circuit 0 contains only state preparation.  Each circuit is a
-prefix of the next, so a run holds one program and marks where each step
-ends in it (``CircuitSeries``).
+prefix of the next, and a step is the same segment for the same field, so a
+run holds its distinct step segments and which one each circuit adds
+(``CircuitSeries``): two for a constant field, at most one per distinct h
+plus the state preparation otherwise.
 
 ``exact_evolution`` integrates the same model by dense eigendecomposition
 and serves as the convergence oracle for the circuits.
@@ -13,8 +15,9 @@ and serves as the convergence oracle for the circuits.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,40 +50,49 @@ def _check_inputs(model: HeisenbergModel, plan: SimulationPlan) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CircuitSeries:
-    """The steps+1 circuits of one run: one program and its step marks.
+    """The steps+1 circuits of one run: distinct step segments and their order.
 
-    Circuit k is the prefix ``program.gates[:step_ends[k]]``.  step_ends[0]
-    counts the state-preparation gates and step_ends[-1] == len(program).
+    Circuit k adds ``segments[order[k]]`` to circuit k-1; segment order[0] is
+    the state preparation.  ``program`` (all segments in order) and
+    ``step_ends`` (the gate count of each circuit) are derived from them, so
+    circuit k is the prefix ``program.gates[:step_ends[k]]``.
     """
 
-    program: Program
-    step_ends: tuple[int, ...]
+    segments: tuple[Program, ...]
+    order: tuple[int, ...]
+    program: Program = field(init=False, repr=False, compare=False)
+    step_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ends = tuple(self.step_ends)
-        object.__setattr__(self, "step_ends", ends)
-        if not ends or ends[0] < 0 or ends[-1] != len(self.program):
-            raise ValueError(
-                f"step_ends must be non-empty and end at {len(self.program)}, got {ends}"
-            )
-        if any(b < a for a, b in zip(ends, ends[1:])):
-            raise ValueError(f"step_ends must not decrease, got {ends}")
+        segments, order = tuple(self.segments), tuple(self.order)
+        if not segments or any(
+            not isinstance(s, Program) or s.num_qubits != segments[0].num_qubits for s in segments
+        ):
+            raise ValueError(f"segments must be programs on one register, got {segments!r}")
+        if not order or not all(0 <= k < len(segments) for k in order):
+            raise ValueError(f"order must index {len(segments)} segments, got {order}")
+        # each segment passed the Program checks on this register, so the join skips them
+        gates = tuple(itertools.chain.from_iterable(segments[k].gates for k in order))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "program", Program._unchecked(segments[0].num_qubits, gates))
+        ends = itertools.accumulate(len(segments[k]) for k in order)
+        object.__setattr__(self, "step_ends", tuple(ends))
 
     def __len__(self) -> int:
-        return len(self.step_ends)
+        return len(self.order)
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
 
     def __getitem__(self, index: int) -> Program:
         """Circuit ``index`` (negative counts from the end) as its own program."""
-        return self.program._slice(0, self.step_ends[index])
+        program = self.program
+        return Program._unchecked(program.num_qubits, program.gates[: self.step_ends[index]])
 
     def segment(self, index: int) -> Program:
         """The gates circuit ``index`` adds to its predecessor; 0 is state prep."""
-        index = range(len(self))[index]
-        start = self.step_ends[index - 1] if index else 0
-        return self.program._slice(start, self.step_ends[index])
+        return self.segments[self.order[index]]
 
 
 def state_prep_gates(initial_spins) -> list[Gate]:
@@ -149,29 +161,31 @@ def generate_circuits(model: HeisenbergModel, plan: SimulationPlan) -> CircuitSe
     """Build the steps+1 Trotter circuits for one run.
 
     The field is sampled at the step start time m*delta_t, so every circuit
-    shares the gates of its predecessors as a prefix.  Every step appends the
-    same bond gates, and the same field layer for the same h.
+    shares the gates of its predecessors as a prefix.  Each distinct h makes
+    one step segment, its field layer then the bond gates, built and checked
+    once; every step with that h adds the same segment.
     """
     _check_inputs(model, plan)
     n = plan.num_qubits
     dt_over_hbar = plan.delta_t / model.hbar
-    gates = state_prep_gates(plan.initial_spins)
-    step_ends = [len(gates)]
-    fields: dict[float, list[Gate]] = {}  # the field layer of each distinct h
+    segments = [Program(n, tuple(state_prep_gates(plan.initial_spins)))]
+    order = [0]
+    index: dict[float, int] = {}  # the segment of each distinct h
     for m in range(plan.steps):
         h = field_at(model.field, m * plan.delta_t)
-        if h not in fields:
+        if h not in index:
             # finite inputs can still overflow a rotation angle 2 * (J or h) * dt / hbar
             scales = (model.jx, model.jy, model.jz, h)
             if not all(math.isfinite(2.0 * x * dt_over_hbar) for x in scales):
                 raise ValueError(f"invalid simulation inputs: a rotation angle overflows in step {m}")
-            fields[h] = field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
-        if m == 0:  # built once, after the check above has passed the couplings
-            couplings = (model.jx, model.jy, model.jz, dt_over_hbar)
-            bonds = [g for i in range(n - 1) for g in bond_evolution_gates(*couplings, i, i + 1)]
-        gates += fields[h] + bonds
-        step_ends.append(len(gates))
-    return CircuitSeries(Program(n, tuple(gates)), tuple(step_ends))
+            if m == 0:  # built once, after the check above has passed the couplings
+                couplings = (model.jx, model.jy, model.jz, dt_over_hbar)
+                bonds = [g for i in range(n - 1) for g in bond_evolution_gates(*couplings, i, i + 1)]
+            layer = field_evolution_gates(h, dt_over_hbar, model.field_axis, n)
+            index[h] = len(segments)
+            segments.append(Program(n, tuple(layer + bonds)))
+        order.append(index[h])
+    return CircuitSeries(tuple(segments), tuple(order))
 
 
 def _z_expectations(psi: np.ndarray, n: int) -> list[float]:

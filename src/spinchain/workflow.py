@@ -5,7 +5,8 @@ A run writes results under `<output_dir>/data/`:
   qubit_<q>_magnetization.csv   one row per time point, 17 significant digits
   plot.svg                      all traces, unless plotting is disabled
   compile_report.txt            only when a compile mode is selected; one
-                                entry per step segment
+                                entry per step, each distinct step segment
+                                compiled and verified once
 
 Everything in data/ is byte-deterministic for a given configuration.  The
 run log (config echo, gate counts, mode, wall-clock timings) cannot be, so
@@ -18,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 
-from .circuits import Program, gate_counts
+from .circuits import gate_counts
 from .compiler import CompileReport, NativeTarget, compile_program
 from .config import RunConfig, load_field_samples
 from .formats import dialect_extension, emit_program
@@ -68,28 +69,22 @@ def prepare_circuits(
 def compile_series(
     circuits: CircuitSeries, config: RunConfig
 ) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
-    """Compile each step segment, when the config asks for it.
+    """Compile and verify each distinct step segment once, when the config asks.
 
     Each step segment is compiled on its own, so no rewrite crosses a step
     mark and every compiled circuit is the compiled prefix of its source.
     The segments share one compile memo, which lives as long as this call.
+    A repeated step reuses its segment's compiled program and report, so the
+    reports hold one entry per step.
     """
     if config.compile_mode == "none":
         return circuits, None
     target = NativeTarget.from_name(config.backend)
     memo: dict = {}
-    gates = []
-    step_ends = []
-    reports = []
-    for index in range(len(circuits)):
-        out, report = compile_program(
-            circuits.segment(index), target, config.compile_mode, memo
-        )
-        gates += out.gates
-        step_ends.append(len(gates))
-        reports.append(report)
-    program = Program(circuits.program.num_qubits, tuple(gates))
-    return CircuitSeries(program, tuple(step_ends)), tuple(reports)
+    mode = config.compile_mode
+    compiled = [compile_program(segment, target, mode, memo) for segment in circuits.segments]
+    series = CircuitSeries(tuple(out for out, _ in compiled), circuits.order)
+    return series, tuple(compiled[k][1] for k in circuits.order)
 
 
 @dataclass(frozen=True)
@@ -193,11 +188,11 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
             handle.write(f"  {field.name} = {value}\n")
         handle.write(f"\nmode: {_mode_description(plan)}\n")
         handle.write(f"circuits: {len(circuits)} programs on {plan.num_qubits} qubits\n")
+        counts = [gate_counts(segment) for segment in circuits.segments]
         single = two = 0
-        for index in range(len(circuits)):
-            counts = gate_counts(circuits.segment(index))
-            single += counts.single_qubit
-            two += counts.two_qubit
+        for index, k in enumerate(circuits.order):
+            single += counts[k].single_qubit
+            two += counts[k].two_qubit
             handle.write(
                 f"  circuit {index}: {single + two} gates "
                 f"({single} single-qubit, {two} two-qubit)\n"

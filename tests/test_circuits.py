@@ -9,6 +9,7 @@ from spinchain import (
     GateKind,
     HeisenbergModel,
     Program,
+    RunConfig,
     SimulationPlan,
     generate_circuits,
     gate_counts,
@@ -22,6 +23,7 @@ from spinchain import (
 )
 from spinchain import circuits
 from spinchain.circuits import apply_matrix, evolve
+from spinchain.workflow import prepare_circuits
 from helpers import dense_gate_oracle, random_program
 
 
@@ -278,3 +280,109 @@ def test_evolve_in_place_and_mark_checks():
     for bad in ([3, 2], [-1], [13]):
         with pytest.raises(GateError):
             list(evolve(amps, program.gates, bad))
+
+
+class _Watched:
+    """A gate that counts in ``reads[0]`` how often its ``qubits`` are read."""
+
+    def __init__(self, gate, reads):
+        self.kind, self.angles, self._qubits = gate.kind, gate.angles, gate.qubits
+        self._reads = reads
+
+    @property
+    def qubits(self):
+        self._reads[0] += 1
+        return self._qubits
+
+
+def _watched_run(n, gates, marks):
+    """Snapshots of ``gates`` through ``evolve`` and how often the fold read a gate."""
+    # one watcher per distinct gate object, so repeated objects stay repeated
+    reads, watchers = [0], {}
+    watched = tuple(watchers.setdefault(id(g), _Watched(g, reads)) for g in gates)
+    return list(evolve(init_state(n).amplitudes, watched, marks)), reads[0]
+
+
+def _assert_each_snapshot_is_its_prefix_alone(gates, marks, n):
+    start = init_state(n, ["down" if q % 2 else "up" for q in range(n)])
+    start = apply_gate(start, make_gate("h", [0])).amplitudes
+    snapshots = list(evolve(start.copy(), gates, marks))
+    assert len(snapshots) == len(marks)
+    for mark, snapshot in zip(marks, snapshots):
+        (alone,) = evolve(start.copy(), gates[:mark], [mark])
+        assert np.array_equal(snapshot, alone)
+    state = start.copy()
+    for gate in gates[: marks[-1]]:
+        apply_matrix(state, gate_matrix(gate), gate.qubits)
+    assert np.max(np.abs(snapshots[-1] - state)) <= 1e-12
+    return snapshots
+
+
+def _repeat(segments, order):
+    gates, marks = [], []
+    for k in order:
+        gates += segments[k].gates
+        marks.append(len(gates))
+    return tuple(gates), marks
+
+
+def test_evolve_replays_alternating_segments_exactly():
+    rng = np.random.default_rng(23)
+    a, b = random_program(rng, 4, 30), random_program(rng, 4, 30)
+    reads = []
+    for repeats in (3, 6):
+        gates, marks = _repeat((a, b), (0, 1) * repeats)
+        _assert_each_snapshot_is_its_prefix_alone(gates, marks, 4)
+        reads.append(_watched_run(4, gates, marks)[1])
+    # the fold reads each gate of the first stretches; the later ones replay
+    assert reads[0] == reads[1] < len(gates)
+
+
+def _random_gate_on(rng, qubit, kinds):
+    kind = kinds[rng.integers(len(kinds))]
+    return make_gate(kind, [qubit], rng.uniform(-np.pi, np.pi, kind.num_angles))
+
+
+def test_evolve_replay_keys_on_the_carried_in_state():
+    rng = np.random.default_rng(29)
+    # n=1: every gate waits on qubit 0, so the waiting product grows every
+    # stretch and the same gates never enter with the same state
+    one = random_program(rng, 1, 5)
+    gates, marks = _repeat((one,), (0,) * 12)
+    _assert_each_snapshot_is_its_prefix_alone(gates, marks, 1)
+    # qubit 2 only ever sees single-qubit gates; the others share pairs
+    kinds = (GateKind.H, GateKind.RX, GateKind.RZ, GateKind.U3)
+    pairs = [make_gate("cnot", [0, 1]), make_gate("cz", [1, 0])]
+    gates = [_random_gate_on(rng, q, kinds) for q in (0, 2, 1, 2)] + pairs
+    segment = Program(3, tuple(gates) + (_random_gate_on(rng, 2, kinds),))
+    gates, marks = _repeat((segment,), (0,) * 8)
+    _assert_each_snapshot_is_its_prefix_alone(gates, marks, 3)
+
+
+def _constant_field_series(n, steps, compiled=False):
+    config = RunConfig(
+        jx=1.0, jy=0.8, jz=0.5, h_ext=1.0, num_qubits=n, delta_t=0.05, steps=steps,
+        initial_spins=tuple("down" if q % 3 == 1 else "up" for q in range(n)),
+        backend="rigetti", compile_mode="domain_specific" if compiled else "none",
+    )
+    series, _ = prepare_circuits(config)
+    return series
+
+
+def test_evolve_replays_a_compiled_constant_field_series_exactly():
+    series = _constant_field_series(4, 10, compiled=True)
+    assert len(series.segments) == 2
+    _assert_each_snapshot_is_its_prefix_alone(series.program.gates, list(series.step_ends), 4)
+
+
+def test_evolve_fold_work_does_not_grow_with_repeated_steps():
+    reads = []
+    for steps in (40, 160):
+        series = _constant_field_series(5, steps)
+        marks = list(series.step_ends)
+        plain = list(evolve(init_state(5).amplitudes, series.program.gates, marks))
+        watched, count = _watched_run(5, series.program.gates, marks)
+        reads.append(count)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, watched, strict=True))
+    # reads: one per folded gate, plus lift's per distinct (gate, pair)
+    assert reads[0] == reads[1] < len(series.program) // 10

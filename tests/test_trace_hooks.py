@@ -7,12 +7,16 @@ crash of ``perfbench/run.py --trace 1``; this test makes it fail here.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import spinchain
 import spinchain.cli
-from spinchain import RunConfig
-from spinchain.workflow import prepare_circuits
+from spinchain import RunConfig, generate_circuits, run_workflow
+from spinchain.compiler import NativeTarget, compile_program
+from spinchain.workflow import _format_report, build_model, build_plan, prepare_circuits
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -43,9 +47,9 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
     assert tracer.counts[0]["simulator.num_qubits"] == 2
 
 
-def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
-    # the compiler.* metrics time workflow.compile_program per segment and
-    # compiler.program_unitary per dense check (source and output)
+def _count_compile_calls(monkeypatch):
+    # the compiler.* metrics time workflow.compile_program per distinct step
+    # segment and compiler.program_unitary per dense check (source and output)
     calls = {"compile_program": 0, "program_unitary": 0}
     for module, name in ((spinchain.workflow, "compile_program"), (spinchain.compiler, "program_unitary")):
         original = getattr(module, name)
@@ -55,10 +59,39 @@ def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    config = RunConfig(
-        jx=1.0, jz=0.5, h_ext=1.0, num_qubits=3, steps=4, backend="rigetti",
-        compile_mode="domain_specific",
-    )
-    circuits, reports = prepare_circuits(config)
+    return calls
+
+
+CONSTANT = RunConfig(
+    jx=1.0, jz=0.5, h_ext=1.0, num_qubits=3, steps=4, backend="rigetti",
+    compile_mode="domain_specific",
+)
+SINUSOID = replace(CONSTANT, time_dep_flag=True, freq=0.3)
+
+
+def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
+    calls = _count_compile_calls(monkeypatch)
+    circuits, reports = prepare_circuits(CONSTANT)
     assert len(reports) == len(circuits) == 5
+    # a constant field has two distinct segments: state prep and one step
+    assert calls == {"compile_program": 2, "program_unitary": 4}
+
+
+def test_prepare_circuits_compiles_every_step_of_a_sinusoid(monkeypatch):
+    calls = _count_compile_calls(monkeypatch)
+    circuits, reports = prepare_circuits(SINUSOID)
+    assert len(reports) == len(circuits) == len(circuits.segments) == 5
     assert calls == {"compile_program": 5, "program_unitary": 10}
+
+
+@pytest.mark.parametrize("config", [CONSTANT, SINUSOID], ids=["constant", "sinusoid"])
+def test_compile_report_equals_compiling_each_step_alone(tmp_path, config):
+    artifacts = run_workflow(config, str(tmp_path))
+    source = generate_circuits(build_model(config), build_plan(config))
+    target = NativeTarget.from_name(config.backend)
+    lines = ["compilation report", f"target: {config.backend}", f"mode: {config.compile_mode}", ""]
+    for k in range(len(source)):
+        _, report = compile_program(source.segment(k), target, config.compile_mode)
+        lines += _format_report(k, report) + [""]
+    with open(artifacts.report_path, encoding="utf-8") as handle:
+        assert handle.read() == "\n".join(lines)

@@ -139,14 +139,22 @@ def test_circuit_series_segments_and_bad_marks():
     circuits = generate_circuits(model, plan)
     joined = sum((circuits.segment(k).gates for k in range(len(circuits))), ())
     assert joined == circuits.program.gates
-    assert circuits.segment(-1) == circuits.segment(3)
+    assert circuits.segment(-1) is circuits.segment(3) is circuits.segment(1)
     with pytest.raises(IndexError):
         circuits.segment(4)
-    ends = circuits.step_ends
-    swapped = (ends[0], ends[2], ends[1], ends[3])
-    for bad in ((), ends[:-1], swapped, (-1,) + ends[1:]):
+    segments, order = circuits.segments, circuits.order
+    assert order == (0, 1, 1, 1)
+    wider = Program(4, segments[1].gates)
+    for bad_segments, bad_order in (
+        (segments, ()),
+        (segments, (0, 2)),
+        (segments, (-1, 1)),
+        ((), ()),
+        ((circuits.program.gates,), (0,)),
+        ((segments[0], wider), (0, 1)),
+    ):
         with pytest.raises(ValueError):
-            CircuitSeries(circuits.program, bad)
+            CircuitSeries(bad_segments, bad_order)
 
 
 @pytest.mark.parametrize(
@@ -174,10 +182,52 @@ def test_generation_matches_step_by_step_build(field):
         ends.append(len(gates))
     assert series.program.gates == tuple(gates)
     assert series.step_ends == tuple(ends)
+    starts = (0, *ends)
+    for k in range(len(series)):
+        assert series.segment(k).gates == tuple(gates[starts[k] : ends[k]])
+        assert series[k].gates == tuple(gates[: ends[k]])
+        assert series[k].num_qubits == series.segment(k).num_qubits == 4
     # every step appends the same bond gate objects
     bonds = 3 * len(bond_evolution_gates(1.0, 0.8, 0.5, 0.05, 0, 1))
     first, last = series.segment(1).gates[-bonds:], series.segment(-1).gates[-bonds:]
     assert all(a is b for a, b in zip(first, last, strict=True))
+    # a step with an h seen before adds that step's segment object again
+    for k in range(1, len(series)):
+        h = field_at(field, (k - 1) * 0.1)
+        same = [j for j in range(1, k) if field_at(field, (j - 1) * 0.1) == h]
+        if same:
+            assert series.segment(k) is series.segment(same[0])
+
+
+@pytest.mark.parametrize(
+    "field, steps, distinct",
+    [
+        (FieldProfile(amplitude=0.7), 30, 2),
+        (FieldProfile(amplitude=0.0), 30, 2),
+        (FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.3, phase=0.2), 12, 13),
+        # h over the 10 steps: 0.5 three times, -0.25 (two roundings), -1 twice, 0.5
+        # three times: four distinct values, so five segments
+        (
+            FieldProfile(mode="tabulated", samples=(
+                (0.0, 0.5), (0.25, 0.5), (0.35, -1.0), (0.55, -1.0), (0.65, 0.5), (1.0, 0.5),
+            )),
+            10,
+            5,
+        ),
+        (FieldProfile(amplitude=0.7), 0, 1),
+    ],
+    ids=["constant", "zero", "sinusoid", "tabulated", "no_steps"],
+)
+def test_series_holds_one_segment_per_distinct_step(field, steps, distinct):
+    model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=field)
+    plan = SimulationPlan(
+        num_qubits=3, initial_spins=["down", "up", "up"], delta_t=0.1, steps=steps
+    )
+    series = generate_circuits(model, plan)
+    assert len(series.segments) == distinct
+    assert len(series.order) == len(series) == steps + 1
+    assert sorted(set(series.order)) == list(range(distinct))
+    assert series.segment(0).gates == tuple(state_prep_gates(plan.initial_spins))
 
 
 def test_time_dependent_field_sampled_at_step_start():

@@ -190,3 +190,64 @@ def test_emit_series_files_parse_back(tmp_path, dialect, tfim_config):
         parsed = parse_program(_read(path).decode(), dialect)
         assert len(parsed.gates) == len(program.gates)
         assert parsed.num_qubits == program.num_qubits
+
+
+def _magnetizations(artifacts):
+    # per qubit, the (t, m) rows of its csv
+    rows = []
+    for path in artifacts.csv_paths:
+        lines = _read(path).decode().splitlines()
+        assert lines[0] == "t,magnetization"
+        rows.append([tuple(map(float, line.split(","))) for line in lines[1:]])
+    return rows
+
+
+@pytest.mark.parametrize("compile_mode", ["none", "domain_specific"])
+def test_run_with_no_steps_is_the_initial_state(tmp_path, compile_mode):
+    config = RunConfig(
+        jz=1.0, h_ext=1.0, num_qubits=3, initial_spins=("down", "up", "down"), steps=0,
+        backend="ibm", compile_mode=compile_mode,
+    )
+    artifacts = run_workflow(config, str(tmp_path))
+    assert [_read(p) for p in artifacts.csv_paths] == [
+        b"t,magnetization\n0,-1\n", b"t,magnetization\n0,1\n", b"t,magnetization\n0,-1\n",
+    ]
+    if compile_mode != "none":
+        report = _read(artifacts.report_path).decode()
+        assert report.count("step ") == 1
+        assert "step 0:\n  input:  2 gates\n" in report
+
+
+@pytest.mark.parametrize("compile_mode", ["none", "domain_specific"])
+def test_run_from_all_up_has_an_empty_prep_segment(tmp_path, compile_mode):
+    # all up is an eigenstate of the isotropic chain and of a z field
+    config = RunConfig(
+        jx=1.0, jy=1.0, jz=1.0, h_ext=0.7, ext_dir="z", num_qubits=3, steps=4,
+        backend="rigetti", compile_mode=compile_mode,
+    )
+    artifacts = run_workflow(config, str(tmp_path))
+    for row in _magnetizations(artifacts):
+        assert [t for t, _ in row] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4], abs=1e-15)
+        assert max(abs(m - 1.0) for _, m in row) <= 1e-12
+    if compile_mode != "none":
+        report = _read(artifacts.report_path).decode()
+        assert report.count("step ") == 5
+        assert "step 0:\n  input:  0 gates\n  output: 0 gates\n" in report
+
+
+@pytest.mark.parametrize("compile_mode", ["none", "domain_specific"])
+def test_run_with_zero_field_has_no_field_layer(tmp_path, compile_mode):
+    # one XX+YY bond from |up down>: the Trotter step is exact, m0(t) = cos(4t)
+    config = RunConfig(
+        jx=1.0, jy=1.0, h_ext=0.0, num_qubits=2, initial_spins=("up", "down"),
+        delta_t=0.1, steps=6, backend="ibm", compile_mode=compile_mode,
+    )
+    artifacts = run_workflow(config, str(tmp_path))
+    first, second = _magnetizations(artifacts)
+    for (t, m0), (_, m1) in zip(first, second, strict=True):
+        assert abs(m0 - np.cos(4 * t)) <= 1e-12
+        assert abs(m1 + np.cos(4 * t)) <= 1e-12
+    if compile_mode != "none":
+        report = _read(artifacts.report_path).decode()
+        assert report.count("step ") == 7
+        assert report.count("  input:  14 gates\n") == 6  # two ZZ blocks, no field

@@ -7,12 +7,14 @@ spin-up is identified with |0>.  Angles are stored unreduced; any mod-2*pi
 normalization happens in compiler passes, never here.
 
 One in-place kernel, ``apply_matrix``, applies gates; ``evolve`` folds them into
-4x4 blocks, one per qubit pair in turn, for the simulator and ``program_unitary``.
+blocks of up to four qubits, one open block at a time, for the simulator and
+``program_unitary``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,12 +208,17 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise GateError(f"no matrix for gate kind {k!r}")
 
 
-def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
-    """Left-multiply ``amps`` in place by the 2x2 or 4x4 ``m`` on ``qubits``.
+# per k, the kernel view's axes with its k qubit axes first (numpy allows 64 axes)
+_QUBIT_AXES_FIRST = [(*range(1, 2 * k, 2), *range(0, 2 * k + 1, 2)) for k in range(32)]
 
-    ``amps`` is C-contiguous with 2^n entries on its leading axis and an
-    optional trailing batch axis.  Viewed as (2^a, 2, [2^b, 2,] rest), each
-    qubit has its own axis; the first qubit is m's high bit.  The slices are
+
+def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
+    """Left-multiply ``amps`` in place by the 2^k x 2^k ``m`` on k ``qubits``.
+
+    The qubits ascend, except that a pair may come in either order.  ``amps``
+    is C-contiguous with 2^n entries on its leading axis and an optional
+    trailing batch axis.  Viewed as (2^a, 2, 2^b, 2, ..., rest), each qubit
+    has its own axis; the first qubit is m's high bit.  The slices are
     gathered into the spare ``work`` array and multiplied back in place.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
@@ -219,12 +226,11 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
         qubits = qubits[::-1]
     shape, low = [], 0
     for q in qubits:
-        shape += [1 << (q - low), 2]
+        shape += [1 << (q - low), 2]  # a qubit out of order raises here
         low = q + 1
     view = amps.view()
     view.shape = (*shape, -1)  # raises instead of copying a non-contiguous amps
-    # qubit axes first
-    sub = view.transpose((1, 0, 2) if len(qubits) == 1 else (1, 3, 0, 2, 4))
+    sub = view.transpose(_QUBIT_AXES_FIRST[len(qubits)])
     if work is None:
         work = np.empty((3, amps.size // 2), amps.dtype)
     gathered = work[:2].reshape(len(m), -1)
@@ -237,11 +243,32 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
 
 
 _EYE2 = np.eye(2, dtype=np.complex128)
+_ONE = np.ones((1, 1), dtype=np.complex128)  # the block on no qubits
+_ZERO = np.zeros(1, dtype=np.complex128)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron of two 2x2s, without its per-call overhead
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    # np.kron of two square matrices, without its per-call overhead
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+@functools.cache  # k <= 4 in evolve, so it holds a few dozen arrays
+def _spread(k: int, places: tuple[int, ...]) -> np.ndarray:
+    # for the 2^k x 2^k matrix that acts as some m on the qubits at places of
+    # k (m's high bit first) and as the identity on the rest: the index of
+    # each of its entries into m's entries, flattened, with one 0 appended
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    sub = bits[:, list(places)] @ (1 << np.arange(len(places) - 1, -1, -1))
+    rest = bits[:, [i for i in range(k) if i not in places]]
+    same = (rest[:, None] == rest[None]).all(-1)
+    index = np.where(same, (sub[:, None] << len(places)) + sub, 1 << 2 * len(places))
+    index.setflags(write=False)  # shared by every caller
+    return index
+
+
+def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.ndarray:
+    # m on qubits (its high bit first) as the matrix on their ascending superset on
+    return np.concatenate((m.ravel(), _ZERO))[_spread(len(on), tuple(map(on.index, qubits)))]
 
 
 def evolve(amps: np.ndarray, gates, marks=()):
@@ -249,50 +276,53 @@ def evolve(amps: np.ndarray, gates, marks=()):
     ``marks``, yield the array after the first ``mark`` gates (a copy, or
     ``amps`` itself after the last gate).
 
-    A two-qubit gate on a new pair applies the open 4x4 block in one pass and
-    opens the pair's block; gates on the open pair fold into it by a small
-    matmul with their (gate, pair) matrix, built once per call.  A single-qubit
-    gate off the pair commutes with every gate since, so it waits on its qubit
-    for the next block there.  A mark applies the open block and the waiting
-    gates (paired into 4x4s) to a copy, as the end does to ``amps``, so each
-    snapshot is bit-identical to its prefix alone.
+    Gates fold into one open block on an ascending set of qubits.  A two-qubit
+    gate that reaches outside the set grows it while the set stays within
+    min(4, max(2, n-1)) of the n qubits; otherwise the block is applied in one
+    state pass and a block on the gate's own pair opens.  A gate inside the
+    set folds in by a small matmul with its matrix lifted onto the set, built
+    once per call.  A single-qubit gate outside the set commutes with every
+    gate since, so its product waits on its qubit and joins the block with
+    that qubit.  A mark applies the open block and the waiting products
+    (grouped by the same bound) to a copy, as the end does to ``amps``, so
+    each snapshot is bit-identical to its prefix alone.
 
     The fold records the blocks it applies between two marks.  A later stretch
-    of the same gate objects that starts from the same open pair, block bytes
+    of the same gate objects that starts from the same open set, block bytes
     and waiting bytes replays those blocks instead, so a repeated Trotter step
     costs its state passes and no per-gate work.
     """
     marks = list(marks)
     if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
         raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
+    # a block holds at most 4 qubits, and fewer than the register's n once n >= 3
+    limit = min(4, max(2, len(amps).bit_length() - 2))
     work = np.empty((3, amps.size // 2), amps.dtype)
     lifted: dict = {}
 
-    def lift(gate: Gate, pair: tuple[int, ...]) -> np.ndarray:
-        # the gate's matrix on pair (its own qubits, or the sorted pair it lies in)
-        m = lifted.get((gate, pair))
+    def lift(gate: Gate, on: tuple[int, ...]) -> np.ndarray:
+        # the gate's matrix on on (its own qubits, or an ascending superset);
+        # not recursive, so no reference cycle keeps lifted alive after the call
+        m = lifted.get((gate, on))
         if m is None:
-            if pair == gate.qubits:
-                m = gate_matrix(gate)
-            elif len(gate.qubits) == 2:
-                m = lift(gate, gate.qubits).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-            else:
-                m = lift(gate, gate.qubits)
-                m = _kron(m, _EYE2) if gate.qubits[0] == pair[0] else _kron(_EYE2, m)
-            lifted[(gate, pair)] = m
+            qubits = gate.qubits
+            m = lifted.get((gate, qubits))
+            if m is None:
+                m = lifted[(gate, qubits)] = gate_matrix(gate)
+            if on != qubits:
+                m = lifted[(gate, on)] = _embed(m, qubits, on)
         return m
 
-    pair, block = (), None  # the open run
-    waiting: dict[int, np.ndarray] = {}  # per qubit off the pair: its gates' product
+    held, block = (), _ONE  # the open block and the qubits it holds
+    waiting: dict[int, np.ndarray] = {}  # per qubit outside the block: its gates' product
 
     def flush(target: np.ndarray) -> None:
-        if pair:
-            apply_matrix(target, block, pair, work)
+        if held:
+            apply_matrix(target, block, held, work)
         qs = sorted(waiting)
-        for a, b in zip(qs[::2], qs[1::2]):
-            apply_matrix(target, _kron(waiting[a], waiting[b]), (a, b), work)
-        if len(qs) % 2:
-            apply_matrix(target, waiting[qs[-1]], qs[-1:], work)
+        for i in range(0, len(qs), limit):
+            on = tuple(qs[i : i + limit])
+            apply_matrix(target, functools.reduce(_kron, map(waiting.get, on)), on, work)
 
     # (stretch gate ids, entry state) -> (blocks applied, exit state, the stretch,
     # kept so that its gates, and so the ids in the key, stay alive)
@@ -303,11 +333,11 @@ def evolve(amps: np.ndarray, gates, marks=()):
         if stop > start:
             stretch = gates[start:stop]
             key = (
-                tuple(map(id, stretch)), pair, block.tobytes() if pair else b"",
+                tuple(map(id, stretch)), held, block.tobytes(),
                 tuple((q, m.tobytes()) for q, m in sorted(waiting.items())),
             )
             if key in replays:
-                applied, (pair, block, waiting), _ = replays[key]
+                applied, (held, block, waiting), _ = replays[key]
                 waiting = dict(waiting)
                 for m, on in applied:
                     apply_matrix(amps, m, on, work)
@@ -315,17 +345,22 @@ def evolve(amps: np.ndarray, gates, marks=()):
                 applied = []
                 for gate in stretch:
                     qubits = gate.qubits
-                    if qubits[0] in pair and qubits[-1] in pair:
-                        block = lift(gate, pair) @ block
+                    if qubits[0] in held and qubits[-1] in held:
+                        block = lift(gate, held) @ block
                     elif len(qubits) == 1:
                         waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
                     else:
-                        if pair:
-                            apply_matrix(amps, block, pair, work)
-                            applied.append((block, pair))
-                        pair = tuple(sorted(qubits))
-                        block = lift(gate, pair) @ _kron(*(waiting.pop(q, _EYE2) for q in pair))
-                replays[key] = applied, (pair, block, dict(waiting)), stretch
+                        grown = tuple(sorted({*held, *qubits}))
+                        if len(grown) > limit:
+                            apply_matrix(amps, block, held, work)
+                            applied.append((block, held))
+                            held, block, grown = (), _ONE, tuple(sorted(qubits))
+                        for q in grown:  # the joining qubits' waiting products
+                            if q in waiting:
+                                block, held = _kron(block, waiting.pop(q)), held + (q,)
+                        block = lift(gate, grown) @ _embed(block, held, grown)
+                        held = grown
+                replays[key] = applied, (held, block, dict(waiting)), stretch
             start = stop
         if stop < len(gates):
             snapshot = amps.copy()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -184,6 +185,8 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
     rng = np.random.default_rng(100 + n)
     ordered = [(a,) for a in range(n)]
     ordered += [(a, b) for a in range(n) for b in range(n) if a != b]  # both orders
+    # wider blocks come ascending: adjacent, such as (1, 2, 3), and interleaved
+    ordered += [*itertools.combinations(range(n), 3), *itertools.combinations(range(n), 4)]
     for qubits in ordered:
         dim = 1 << len(qubits)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
@@ -238,7 +241,7 @@ def _chain_program(n: int, steps: int) -> Program:
     return generate_circuits(model, plan).program
 
 
-def test_run_statevector_applies_one_block_per_bond_per_step(monkeypatch):
+def test_run_statevector_applies_one_block_per_three_bonds_per_step(monkeypatch):
     n, steps = 6, 7
     program = _chain_program(n, steps)
     shapes = []
@@ -249,11 +252,52 @@ def test_run_statevector_applies_one_block_per_bond_per_step(monkeypatch):
 
     monkeypatch.setattr(circuits, "apply_matrix", counting)
     state = run_statevector(program)
-    assert shapes == [(1 << n,)] * (steps * (n - 1))
+    # a block holds up to 4 qubits, so 3 bonds of the chain
+    assert shapes == [(1 << n,)] * (steps * math.ceil((n - 1) / 3))
     expected = init_state(n)
     for gate in program.gates:
         expected = apply_gate(expected, gate)
     assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+
+
+def _far_pair_program(rng, n: int) -> Program:
+    # random gates, with pairs that hold the register's ends apart, so blocks
+    # gather interleaved qubits
+    far = [make_gate("cnot", [0, n - 1]), make_gate("cz", [n - 2, 0]), make_gate("cnot", [n - 1, 1])]
+    gates = list(random_program(rng, n, 40).gates)
+    for position, gate in zip((5, 17, 30), far):
+        gates.insert(position, gate)
+    return Program(n, tuple(gates))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_evolve_wide_block_snapshots_equal_each_prefix_alone(n):
+    rng = np.random.default_rng(40 + n)
+    for program in (_chain_program(n, 1), _far_pair_program(rng, n)):
+        marks = list(range(len(program) + 1))  # a mark at every gate
+        _assert_each_snapshot_is_its_prefix_alone(program.gates, marks, n)
+
+
+def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeypatch):
+    widths = []
+
+    def recording(amps, m, qubits, *args):
+        assert len(m) == 1 << len(qubits)
+        widths.append(len(qubits))
+        apply_matrix(amps, m, qubits, *args)
+
+    monkeypatch.setattr(circuits, "apply_matrix", recording)
+    rng = np.random.default_rng(31)
+    for n in range(1, 10):
+        widths.clear()
+        programs = [random_program(rng, n, 80)]
+        programs += [_chain_program(n, 3), _far_pair_program(rng, n)] if n >= 3 else []
+        for program in programs:
+            list(evolve(init_state(n).amplitudes, program.gates, range(0, len(program), 7)))
+            program_unitary(program)
+        bound = min(4, max(2, n - 1))
+        assert max(widths) == (bound if n > 1 else 1)
+        assert n < 3 or max(widths) < n
 
 
 def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):
@@ -376,13 +420,15 @@ def test_evolve_replays_a_compiled_constant_field_series_exactly():
 
 
 def test_evolve_fold_work_does_not_grow_with_repeated_steps():
-    reads = []
-    for steps in (40, 160):
-        series = _constant_field_series(5, steps)
-        marks = list(series.step_ends)
-        plain = list(evolve(init_state(5).amplitudes, series.program.gates, marks))
-        watched, count = _watched_run(5, series.program.gates, marks)
-        reads.append(count)
-        assert all(np.array_equal(a, b) for a, b in zip(plain, watched, strict=True))
-    # reads: one per folded gate, plus lift's per distinct (gate, pair)
-    assert reads[0] == reads[1] < len(series.program) // 10
+    # at n=8 each step's last block, (6, 7), grows into the next step's (0, 1, 6, 7)
+    for n in (5, 8):
+        reads = []
+        for steps in (40, 160):
+            series = _constant_field_series(n, steps)
+            marks = list(series.step_ends)
+            plain = list(evolve(init_state(n).amplitudes, series.program.gates, marks))
+            watched, count = _watched_run(n, series.program.gates, marks)
+            reads.append(count)
+            assert all(np.array_equal(a, b) for a, b in zip(plain, watched, strict=True))
+        # reads: one per folded gate, plus lift's per distinct (gate, block qubits)
+        assert reads[0] == reads[1] < len(series.program) // 10

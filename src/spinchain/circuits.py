@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class Gate:
     kind: GateKind
     angles: tuple[float, ...] = ()
     qubits: tuple[int, ...] = ()
+    # the hash of (kind, angles, qubits), taken once: gates key the matrix and
+    # compile caches, and hashing through the dataclass and the enum is slow
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, GateKind):
@@ -99,6 +102,14 @@ class Gate:
             raise GateError(f"qubit indices must be distinct: {self.qubits}")
         if any(not math.isfinite(a) for a in self.angles):
             raise GateError(f"angles must be finite: {self.angles}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.angles, self.qubits)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: an enum's hash differs between interpreters
+        return Gate, (self.kind, self.angles, self.qubits)
 
 
 def make_gate(kind: GateKind | str, qubits, angles=()) -> Gate:

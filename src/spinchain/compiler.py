@@ -13,9 +13,10 @@ register is small enough to check densely.
 
 Each pass is one linear sweep: the gate list is held as a doubly linked list
 whose nodes are also linked per wire, so finding the next gate on a qubit,
-deleting a gate and moving one are O(1).  A memo, one per run, holds each
-distinct source gate's lowering and each distinct single-qubit run's
-synthesis, so the step segments of a run share that work.
+deleting a gate and moving one are O(1).  One such list carries a compile
+through every round; each pass edits it in place.  A memo, one per run,
+holds each distinct source gate's lowering and each distinct single-qubit
+run's synthesis, so the step segments of a run share that work.
 """
 
 from __future__ import annotations
@@ -219,9 +220,10 @@ def lower_generic(program: Program, target: NativeTarget, memo: dict | None = No
 
 
 # ---------------------------------------------------------------------------
-# Peephole passes.  Each pass takes and returns a gate list and must preserve
-# the program unitary up to a global phase on any input.  "Adjacent" always
-# means: no gate in between touches any of the qubits involved.
+# Peephole passes.  Each pass edits a ``_Links`` in place, returns whether it
+# changed anything and must preserve the program unitary up to a global phase
+# on any input.  "Adjacent" always means: no gate in between touches any of
+# the qubits involved.
 
 
 class _Links:
@@ -231,13 +233,13 @@ class _Links:
     ``wire_after[i][q]``/``wire_before[i][q]`` the next and previous node on
     qubit q.  Node ``end`` (gate None) closes the list and every wire, so the
     next gate touching a node's qubits is one lookup, and deleting or moving a
-    node is O(1).  A sweep visits the nodes in list order; after a merge it
-    looks at the same node again, after a cancel or a move it goes on at the
-    node's old successor.
+    node is O(1).  ``size`` counts the linked gates.  A sweep visits the nodes
+    in list order; after a merge it looks at the same node again, after a
+    cancel or a move it goes on at the node's old successor.
     """
 
     def __init__(self, gates) -> None:
-        n = self.end = len(gates)
+        n = self.end = self.size = len(gates)
         self.gates = [*gates, None]
         self.after = [*range(1, n + 1), 0]
         self.before = [n, *range(n)]
@@ -257,6 +259,7 @@ class _Links:
         return j if wires[qubits[-1]] == j else self.end
 
     def delete(self, i: int) -> None:
+        self.size -= 1
         a, b = self.after[i], self.before[i]
         self.after[b], self.before[a] = a, b
         for q, p in self.wire_before[i].items():
@@ -266,6 +269,7 @@ class _Links:
     def insert_after(self, i: int, e: int) -> None:
         """Link the deleted node i back in right after node e, which touches
         every wire of i."""
+        self.size += 1
         a = self.after[e]
         self.after[e], self.before[i], self.after[i], self.before[a] = i, e, a, i
         for q in self.wire_before[i]:
@@ -281,14 +285,14 @@ class _Links:
         return out
 
 
-def _pass_merge_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]:
+def _pass_merge_rotations(links: _Links, target: NativeTarget) -> bool:
     """Sum adjacent same-kind rotations on the same qubit.
 
     On the RIGETTI target an RX pair only merges when the summed angle is
     itself native (or zero, which the drop pass then removes); anything else
     would push the gate out of the allowed angle set.
     """
-    links = _Links(gates)
+    size = links.size
     i = links.after[links.end]
     while i != links.end:
         g = links.gates[i]
@@ -305,12 +309,12 @@ def _pass_merge_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]
                     links.gates[i] = make_gate(g.kind, g.qubits, [total])
                     continue
         i = links.after[i]
-    return links.in_order()
+    return links.size != size
 
 
-def _pass_cancel_inverse_pairs(gates: list[Gate], target: NativeTarget) -> list[Gate]:
+def _pass_cancel_inverse_pairs(links: _Links, target: NativeTarget) -> bool:
     """Drop adjacent identical self-inverse pairs (H, X, CNOT, CZ)."""
-    links = _Links(gates)
+    size = links.size
     i = links.after[links.end]
     while i != links.end:
         g = links.gates[i]
@@ -328,16 +332,19 @@ def _pass_cancel_inverse_pairs(gates: list[Gate], target: NativeTarget) -> list[
                     i = successor
                     continue
         i = links.after[i]
-    return links.in_order()
+    return links.size != size
 
 
-def _pass_drop_zero_rotations(gates: list[Gate], target: NativeTarget) -> list[Gate]:
+def _pass_drop_zero_rotations(links: _Links, target: NativeTarget) -> bool:
     """Remove rotations whose angle is 0 modulo 2*pi (within 1e-12)."""
-    return [
-        g
-        for g in gates
-        if not (g.kind in _ROTATION_KINDS and abs(_wrap(g.angles[0])) <= ZERO_ANGLE_TOL)
-    ]
+    size = links.size
+    i = links.after[links.end]
+    while i != links.end:
+        g, successor = links.gates[i], links.after[i]
+        if g.kind in _ROTATION_KINDS and abs(_wrap(g.angles[0])) <= ZERO_ANGLE_TOL:
+            links.delete(i)
+        i = successor
+    return links.size != size
 
 
 def _is_diagonal(g: Gate) -> bool:
@@ -353,7 +360,7 @@ def _commutes_with_x(g: Gate) -> bool:
     return False
 
 
-def _pass_commute_through_entanglers(gates: list[Gate], target: NativeTarget) -> list[Gate]:
+def _pass_commute_through_entanglers(links: _Links, target: NativeTarget) -> bool:
     """Move single-qubit gates rightward through entanglers they commute with.
 
     Diagonal gates (RZ/U1 and friends) slide through CZ on either leg and
@@ -361,7 +368,7 @@ def _pass_commute_through_entanglers(gates: list[Gate], target: NativeTarget) ->
     drift is rightward only, which both terminates and parks rotations next
     to each other for the merge and fuse passes.
     """
-    links = _Links(gates)
+    moved = False
     i = links.after[links.end]
     while i != links.end:
         g = links.gates[i]
@@ -382,10 +389,10 @@ def _pass_commute_through_entanglers(gates: list[Gate], target: NativeTarget) ->
                     successor = links.after[i]
                     links.delete(i)
                     links.insert_after(i, j)
-                    i = successor
+                    i, moved = successor, True
                     continue
         i = links.after[i]
-    return links.in_order()
+    return moved
 
 
 def _zyz_angles(m: np.ndarray) -> tuple[float, float, float]:
@@ -438,8 +445,8 @@ def _resynthesize(m: np.ndarray, target: NativeTarget, q: int) -> list[Gate]:
 
 
 def _pass_fuse_single_qubit_runs(
-    gates: list[Gate], target: NativeTarget, synthesized: dict | None = None
-) -> list[Gate]:
+    links: _Links, target: NativeTarget, synthesized: dict | None = None
+) -> bool:
     """Collapse maximal single-qubit runs when a shorter native form exists.
 
     A run is a wire-contiguous stretch of single-qubit gates on one qubit.
@@ -451,24 +458,26 @@ def _pass_fuse_single_qubit_runs(
     """
     if synthesized is None:
         synthesized = {}
+    end, gates, wire_after = links.end, links.gates, links.wire_after
     runs: list[list[int]] = []
-    open_runs: dict[int, list[int]] = {}
-    for idx, g in enumerate(gates):
-        if len(g.qubits) == 1:
-            open_runs.setdefault(g.qubits[0], []).append(idx)
-        else:
-            for q in g.qubits:
-                run = open_runs.pop(q, None)
-                if run:
+    i = links.after[end]
+    while i != end:  # each run of two or more, found from its first gate
+        qubits = gates[i].qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+            p = links.wire_before[i][q]
+            if p == end or len(gates[p].qubits) == 2:
+                run, j = [i], wire_after[i][q]
+                while j != end and len(gates[j].qubits) == 1:
+                    run.append(j)
+                    j = wire_after[j][q]
+                if len(run) > 1:
                     runs.append(run)
-    runs.extend(open_runs.values())
+        i = links.after[i]
 
-    replacements: dict[int, list[Gate]] = {}
-    dropped: set[int] = set()
+    changed = False
     for run in runs:
-        if len(run) < 2:
-            continue
-        run_gates = tuple(gates[idx] for idx in run)
+        run_gates = tuple(gates[i] for i in run)
         key = _memo_key(run_gates)
         synth = synthesized.get(key)
         if synth is None:
@@ -477,18 +486,18 @@ def _pass_fuse_single_qubit_runs(
                 m = gate_matrix(g) @ m
             synth = synthesized[key] = _resynthesize(m, target, run_gates[0].qubits[0])
         if len(synth) < len(run):
-            replacements[run[0]] = synth
-            dropped.update(run)
-
-    if not replacements:
-        return list(gates)
-    out: list[Gate] = []
-    for idx, g in enumerate(gates):
-        if idx in replacements:
-            out.extend(replacements[idx])
-        elif idx not in dropped:
-            out.append(g)
-    return out
+            # the synthesis takes over the run's first nodes, linked in a row
+            for i in run[1:]:
+                links.delete(i)
+            for prev, i, g in zip(run, run[1:], synth[1:]):
+                gates[i] = g
+                links.insert_after(i, prev)
+            if synth:
+                gates[run[0]] = synth[0]
+            else:
+                links.delete(run[0])
+            changed = True
+    return changed
 
 
 _PASSES = (
@@ -558,18 +567,18 @@ def ds_compile(
     ``compile_program``.
     """
     lowered, synthesized = _memo_tables(memo, target)
-    gates = _lower_gates(program.gates, target, lowered)
-    applied = [("lower_generic", len(gates) - len(program.gates))]
+    links = _Links(_lower_gates(program.gates, target, lowered))
+    applied = [("lower_generic", links.size - len(program.gates))]
     for _ in range(MAX_PASS_ROUNDS):
         changed = False
         for name, pass_fn in _PASSES:
+            size = links.size
             if pass_fn is _pass_fuse_single_qubit_runs:
-                new = pass_fn(gates, target, synthesized)
+                fired = pass_fn(links, target, synthesized)
             else:
-                new = pass_fn(gates, target)
-            if new != gates:
-                applied.append((name, len(new) - len(gates)))
-                gates = new
+                fired = pass_fn(links, target)
+            if fired:
+                applied.append((name, links.size - size))
                 changed = True
         if not changed:
             break
@@ -577,7 +586,7 @@ def ds_compile(
         raise CompileError(
             f"pass pipeline failed to reach a fixpoint in {MAX_PASS_ROUNDS} rounds"
         )
-    compiled = Program(program.num_qubits, tuple(gates))
+    compiled = Program(program.num_qubits, tuple(links.in_order()))
     return compiled, _report(program, compiled, target, applied)
 
 

@@ -3,7 +3,9 @@
 Basis-state indexing matches the IR convention: qubit 0 is the leftmost
 character of a bitstring, i.e. the most significant bit of the state index,
 and spin-up is |0>.  All randomness flows through numpy's default PCG64
-generator seeded explicitly, so identical seeds give identical outputs.
+generator seeded explicitly, so identical seeds give identical outputs.  A
+series draws each circuit's samples from its own stream, spawned from the
+run seed, so no two circuits or seeds share one.
 
 Exact runs use ``circuits.evolve`` (gates fused into blocks of up to four
 qubits, in place, a repeated step replayed from its recorded blocks); noisy
@@ -95,7 +97,9 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     return _z_expectation(np.abs(state.amplitudes) ** 2, qubit)
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> dict[str, int]:
+def sample_counts(
+    state: StateVector, shots: int, seed: int | np.random.SeedSequence
+) -> dict[str, int]:
     """Multinomial z-basis measurement counts, keyed by bitstring."""
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
@@ -146,7 +150,7 @@ def run_noisy(
     initial_spins: Sequence[str] | None,
     shots: int,
     noise: NoiseParams,
-    seed: int,
+    seed: int | np.random.SeedSequence,
 ) -> dict[str, int]:
     """Monte Carlo Pauli-noise sampling: one trajectory per shot.
 
@@ -228,16 +232,17 @@ def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> Magnetiz
 
     plan.shots == 0 selects exact expectation values; otherwise each circuit
     is sampled with ``plan.shots`` shots (with Pauli noise when plan.noise is
-    set), using the derived seed ``plan.seed + circuit_index``.  Noisy
-    trajectories run each circuit on its own, from the start.
+    set), circuit k from the k-th stream that ``SeedSequence(plan.seed)``
+    spawns.  Noisy trajectories run each circuit on its own, from the start.
     """
     n = plan.num_qubits
     rows: list[list[float]] = [[] for _ in range(n)]
     times: list[float] = []
+    streams = np.random.SeedSequence(plan.seed).spawn(len(series)) if plan.shots else None
     if plan.noise is not None and plan.shots > 0:
         for index, program in enumerate(series):
             times.append(index * plan.delta_t)
-            counts = run_noisy(program, None, plan.shots, plan.noise, plan.seed + index)
+            counts = run_noisy(program, None, plan.shots, plan.noise, streams[index])
             for q in range(n):
                 rows[q].append(magnetization_from_counts(counts, q))
     else:
@@ -249,7 +254,7 @@ def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> Magnetiz
                 for q in range(n):
                     rows[q].append(_z_expectation(probs, q))
             else:
-                counts = sample_counts(state, plan.shots, plan.seed + index)
+                counts = sample_counts(state, plan.shots, streams[index])
                 for q in range(n):
                     rows[q].append(magnetization_from_counts(counts, q))
             state = probs = None  # free them before the next snapshot

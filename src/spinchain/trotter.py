@@ -109,36 +109,35 @@ def bond_evolution_gates(
 ) -> list[Gate]:
     """Circuit for exp(i * dt_over_hbar * (jx XX + jy YY + jz ZZ)) on (a, b).
 
-    The three factors commute, so their product is exact for a single bond.
-    Factors with zero coupling are omitted entirely.
+    Each bond takes the fewest CNOTs its couplings allow (Vatan and Williams,
+    PRA 69, 032315, 2004): three when all three are nonzero, two when one or
+    two are, none when all are zero.  With two couplings at most, CNOT(a, b)
+    turns X on a into XX and Z on b into ZZ, and a quarter turn on both
+    qubits first turns YY into XX (about z) or ZZ (about x).  Rotations by
+    exactly zero are left out.
     """
-    gates: list[Gate] = []
-
-    def zz_factor(theta: float, qa: int, qb: int) -> list[Gate]:
-        return [
-            make_gate(GateKind.CNOT, [qa, qb]),
-            make_gate(GateKind.RZ, [qb], [-2.0 * theta]),
-            make_gate(GateKind.CNOT, [qa, qb]),
+    alpha, beta, gamma = jx * dt_over_hbar, jy * dt_over_hbar, jz * dt_over_hbar
+    half = math.pi / 2
+    rx, ry, rz, cnot = GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CNOT
+    if alpha and beta and gamma:
+        spec = [
+            (rz, [b], half), (cnot, [b, a]), (rz, [a], half - 2.0 * gamma),
+            (ry, [b], half - 2.0 * alpha), (cnot, [a, b]), (ry, [b], 2.0 * beta - half),
+            (cnot, [b, a]), (rz, [a], -half),
         ]
-
-    if jx != 0.0:
-        gates += [make_gate(GateKind.H, [a]), make_gate(GateKind.H, [b])]
-        gates += zz_factor(jx * dt_over_hbar, a, b)
-        gates += [make_gate(GateKind.H, [a]), make_gate(GateKind.H, [b])]
-    if jy != 0.0:
-        half = math.pi / 2
-        gates += [
-            make_gate(GateKind.RX, [a], [half]),
-            make_gate(GateKind.RX, [b], [half]),
-        ]
-        gates += zz_factor(jy * dt_over_hbar, a, b)
-        gates += [
-            make_gate(GateKind.RX, [a], [-half]),
-            make_gate(GateKind.RX, [b], [-half]),
-        ]
-    if jz != 0.0:
-        gates += zz_factor(jz * dt_over_hbar, a, b)
-    return gates
+    elif alpha or beta or gamma:
+        if not beta:
+            turn, on_a, on_b = None, alpha, gamma
+        elif not alpha:
+            turn, on_a, on_b = rz, beta, gamma
+        else:
+            turn, on_a, on_b = rx, alpha, beta
+        spec = [(cnot, [a, b]), (rx, [a], -2.0 * on_a), (rz, [b], -2.0 * on_b), (cnot, [a, b])]
+        if turn is not None:
+            spec = [(turn, [a], half), (turn, [b], half), *spec, (turn, [a], -half), (turn, [b], -half)]
+    else:
+        return []
+    return [make_gate(kind, qubits, angles) for kind, qubits, *angles in spec if angles != [0.0]]
 
 
 def field_evolution_gates(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from spinchain import GateKind, Program, compiler, make_gate
@@ -48,6 +50,23 @@ def dense_gate_oracle(matrix: np.ndarray, qubits, num_qubits: int) -> np.ndarray
                 row = (row & ~(1 << shift)) | (bit << shift)
             out[row, col] += matrix[out_bits, in_bits]
     return out
+
+
+def on_list(pass_fn):
+    """A compiler pass as a function from a gate list to the list it leaves.
+
+    The pass edits a linked list in place and must say whether it changed it.
+    """
+
+    @functools.wraps(pass_fn)
+    def run(gates, target, *args):
+        links = compiler._Links(gates)
+        changed = pass_fn(links, target, *args)
+        out = links.in_order()
+        assert changed == (out != list(gates)), pass_fn.__name__
+        return out
+
+    return run
 
 
 def programs_structurally_equal(a: Program, b: Program, angle_tol: float = 1e-12) -> bool:
@@ -140,4 +159,36 @@ def commute_through_entanglers_oracle(gates, target):
                     out.insert(j, g)
                     continue
         i += 1
+    return out
+
+
+def fuse_single_qubit_runs_oracle(gates, target):
+    # runs found by one scan over the list, closed by the two-qubit gates
+    runs, open_runs = [], {}
+    for idx, g in enumerate(gates):
+        if g.kind.num_qubits == 1:
+            open_runs.setdefault(g.qubits[0], []).append(idx)
+        else:
+            for q in g.qubits:
+                run = open_runs.pop(q, None)
+                if run:
+                    runs.append(run)
+    runs.extend(open_runs.values())
+    replacements, dropped = {}, set()
+    for run in runs:
+        if len(run) < 2:
+            continue
+        m = np.eye(2, dtype=np.complex128)
+        for idx in run:
+            m = compiler.gate_matrix(gates[idx]) @ m
+        synth = compiler._resynthesize(m, target, gates[run[0]].qubits[0])
+        if len(synth) < len(run):
+            replacements[run[0]] = synth
+            dropped.update(run)
+    out = []
+    for idx, g in enumerate(gates):
+        if idx in replacements:
+            out.extend(replacements[idx])
+        elif idx not in dropped:
+            out.append(g)
     return out

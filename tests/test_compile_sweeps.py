@@ -28,7 +28,9 @@ from helpers import (
     ALL_KINDS,
     cancel_inverse_pairs_oracle,
     commute_through_entanglers_oracle,
+    fuse_single_qubit_runs_oracle,
     merge_rotations_oracle,
+    on_list,
     random_program,
 )
 
@@ -36,9 +38,10 @@ TARGETS = (NativeTarget.IBM, NativeTarget.RIGETTI)
 DRIVEN = Path(__file__).resolve().parents[1] / "sample_inputs" / "driven_sampled_ibm.txt"
 
 PASS_ORACLES = (
-    (compiler._pass_merge_rotations, merge_rotations_oracle),
-    (compiler._pass_cancel_inverse_pairs, cancel_inverse_pairs_oracle),
-    (compiler._pass_commute_through_entanglers, commute_through_entanglers_oracle),
+    (on_list(compiler._pass_merge_rotations), merge_rotations_oracle),
+    (on_list(compiler._pass_cancel_inverse_pairs), cancel_inverse_pairs_oracle),
+    (on_list(compiler._pass_commute_through_entanglers), commute_through_entanglers_oracle),
+    (on_list(compiler._pass_fuse_single_qubit_runs), fuse_single_qubit_runs_oracle),
 )
 
 # kinds that make merges, cancellations and moves frequent
@@ -91,7 +94,7 @@ def test_linked_passes_equal_oracles_on_sample_segments():
             fired += _assert_passes_match_oracles(gates, target)
             # and every state the pipeline passes through on its way
             for _, pass_fn in compiler._PASSES:
-                gates = pass_fn(gates, target)
+                gates = on_list(pass_fn)(gates, target)
                 fired += _assert_passes_match_oracles(gates, target)
     assert fired > 0
 

@@ -11,6 +11,7 @@ from spinchain import (
     Program,
     SimulationPlan,
     compile_program,
+    compiler,
     conforms,
     ds_compile,
     generate_circuits,
@@ -19,18 +20,14 @@ from spinchain import (
     program_unitary,
     unitary_equivalent,
 )
-from spinchain.compiler import (
-    CompileError,
-    _pass_cancel_inverse_pairs,
-    _pass_commute_through_entanglers,
-    _pass_drop_zero_rotations,
-    _pass_fuse_single_qubit_runs,
-    _pass_merge_rotations,
-    _rx_native,
-    _wrap,
-    _zyz_angles,
-)
-from helpers import random_program
+from spinchain.compiler import CompileError, _rx_native, _wrap, _zyz_angles
+from helpers import on_list, random_program
+
+_pass_cancel_inverse_pairs = on_list(compiler._pass_cancel_inverse_pairs)
+_pass_commute_through_entanglers = on_list(compiler._pass_commute_through_entanglers)
+_pass_drop_zero_rotations = on_list(compiler._pass_drop_zero_rotations)
+_pass_fuse_single_qubit_runs = on_list(compiler._pass_fuse_single_qubit_runs)
+_pass_merge_rotations = on_list(compiler._pass_merge_rotations)
 
 TARGETS = (NativeTarget.IBM, NativeTarget.RIGETTI)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    CircuitSeries,
     FieldProfile,
     HeisenbergModel,
     NoiseParams,
@@ -238,3 +239,23 @@ def test_simulate_series_noisy_mode_runs():
     series = simulate_series(circuits, plan_n)
     assert len(series.times) == 5
     assert series.num_qubits == 2
+
+
+@pytest.mark.parametrize("noise", [None, NoiseParams(p1=0.0, p2=0.05)])
+def test_sampled_streams_do_not_overlap_between_seeds(noise):
+    # every circuit prepares the same state, so equal streams give equal draws;
+    # seed s, circuit k+1 and seed s+1, circuit k once shared their stream
+    hadamards = Program(2, (make_gate("h", [0]), make_gate("h", [1])))
+    series = CircuitSeries((hadamards, Program(2)), (0, 1, 1, 1, 1))
+
+    def rows(seed):
+        plan = SimulationPlan(
+            num_qubits=2, initial_spins=None, steps=4, shots=200, noise=noise, seed=seed
+        )
+        return simulate_series(series, plan).values
+
+    first, second = rows(12), rows(13)
+    shifted = [(a[k + 1], b[k]) for a, b in zip(first, second) for k in range(4)]
+    assert any(x != y for x, y in shifted)
+    # nor do the circuits of one run share a stream
+    assert any(len(set(row)) > 1 for row in first)

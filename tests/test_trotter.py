@@ -56,24 +56,49 @@ def test_field_layer_shape():
         field_evolution_gates(1.0, 0.1, "w", 2)
 
 
-@pytest.mark.parametrize(
-    "jx,jy,jz",
-    [
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (0.8, -0.5, 0.3),
-        (1.0, 1.0, 0.0),
-    ],
-)
-def test_bond_gates_match_expm_oracle(jx, jy, jz):
+# every zero pattern of (jx, jy, jz), all-zero included
+ZERO_PATTERNS = [
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.8, -0.5, 0.3),
+    (1.0, 1.0, 0.0),
+    (0.8, 0.0, 0.3),
+    (0.0, -0.5, 0.3),
+    (0.0, 0.0, 0.0),
+]
+
+
+def _assert_bond_matches_expm(jx, jy, jz, t):
     # The bond circuit must equal exp(+i t (jx XX + jy YY + jz ZZ)) exactly
     # (single bond, commuting factors), up to a global phase.
-    t = 0.37
     gates = bond_evolution_gates(jx, jy, jz, t, 0, 1)
     u = program_unitary(Program(2, tuple(gates)))
     target = expm(1j * t * (jx * np.kron(X, X) + jy * np.kron(Y, Y) + jz * np.kron(Z, Z)))
     assert unitary_equivalent(u, target, tol=1e-12)
+
+
+@pytest.mark.parametrize("jx,jy,jz", ZERO_PATTERNS)
+def test_bond_gates_match_expm_oracle(jx, jy, jz):
+    _assert_bond_matches_expm(jx, jy, jz, 0.37)
+
+
+def test_bond_gates_match_expm_oracle_on_random_draws():
+    rng = np.random.default_rng(2024)
+    for _ in range(24):
+        jx, jy, jz = rng.uniform(-2.0, 2.0, 3)
+        _assert_bond_matches_expm(jx, jy, jz, float(rng.uniform(0.01, 1.0)))
+
+
+@pytest.mark.parametrize("jx,jy,jz", ZERO_PATTERNS)
+def test_bond_gates_take_the_fewest_cnots(jx, jy, jz):
+    gates = bond_evolution_gates(jx, jy, jz, 0.37, 0, 1)
+    nonzero = sum(j != 0.0 for j in (jx, jy, jz))
+    cnots = sum(g.kind is GateKind.CNOT for g in gates)
+    assert cnots == {3: 3, 2: 2, 1: 2, 0: 0}[nonzero]
+    # and no more gates than one basis-changed ZZ block per nonzero coupling,
+    # as bonds were built before: 7 gates for XX or YY, 3 for ZZ
+    assert len(gates) <= 7 * (jx != 0.0) + 7 * (jy != 0.0) + 3 * (jz != 0.0)
 
 
 def test_bond_gates_skip_zero_couplings():
@@ -81,8 +106,12 @@ def test_bond_gates_skip_zero_couplings():
     only_zz = bond_evolution_gates(0.0, 0.0, 2.0, 0.1, 0, 1)
     assert [g.kind for g in only_zz] == [GateKind.CNOT, GateKind.RZ, GateKind.CNOT]
     only_xx = bond_evolution_gates(1.0, 0.0, 0.0, 0.1, 0, 1)
-    assert GateKind.H in [g.kind for g in only_xx]
-    assert GateKind.RX not in [g.kind for g in only_xx]
+    assert [g.kind for g in only_xx] == [GateKind.CNOT, GateKind.RX, GateKind.CNOT]
+    # a rotation by exactly zero is left out: here RZ(pi/2 - 2 jz t) on qubit 0
+    general = bond_evolution_gates(1.0, 1.0, math.pi / 4, 1.0, 0, 1)
+    assert len(general) == 7
+    assert all(g.angles != (0.0,) for g in general)
+    _assert_bond_matches_expm(1.0, 1.0, math.pi / 4, 1.0)
 
 
 def test_single_step_is_field_then_bonds():
@@ -128,9 +157,11 @@ def test_series_structure_and_prefix_property():
         assert cur.gates[: len(prev.gates)] == prev.gates
     assert circuits[-1] == circuits.program
     assert circuits[-2] == programs[-2]
-    # no field -> no rotation layer beyond the bond blocks
-    kinds = {g.kind for g in circuits[5].gates}
-    assert GateKind.RY not in kinds
+    # no field -> a step is the two XX+YY bonds alone, two CNOTs each
+    bonds = [g for i in range(2) for g in bond_evolution_gates(1.0, 1.0, 0.0, 0.1, i, i + 1)]
+    assert circuits.segment(5).gates == tuple(bonds)
+    assert len(bonds) == 16
+    assert sum(g.kind is GateKind.CNOT for g in bonds) == 4
 
 
 def test_circuit_series_segments_and_bad_marks():

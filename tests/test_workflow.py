@@ -250,4 +250,5 @@ def test_run_with_zero_field_has_no_field_layer(tmp_path, compile_mode):
     if compile_mode != "none":
         report = _read(artifacts.report_path).decode()
         assert report.count("step ") == 7
-        assert report.count("  input:  14 gates\n") == 6  # two ZZ blocks, no field
+        # two CNOTs between quarter turns, no field
+        assert report.count("  input:  8 gates\n") == 6

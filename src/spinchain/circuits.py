@@ -6,9 +6,10 @@ measurement bitstring (most significant bit of the basis-state index), and
 spin-up is identified with |0>.  Angles are stored unreduced; any mod-2*pi
 normalization happens in compiler passes, never here.
 
-One in-place kernel, ``apply_matrix``, applies gates; ``evolve`` folds them into
-blocks of up to four qubits, one open block at a time, for the simulator and
-``program_unitary``.
+One in-place kernel, ``apply_matrix``, applies gates: one matmul on a
+reshaped view when the qubits form a range, and a gather into a spare buffer
+for any other set.  ``evolve`` folds gates into blocks on ranges of up to four
+qubits, one open block at a time, for the simulator and ``program_unitary``.
 """
 
 from __future__ import annotations
@@ -226,24 +227,41 @@ _QUBIT_AXES_FIRST = [(*range(1, 2 * k, 2), *range(0, 2 * k + 1, 2)) for k in ran
 def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
     """Left-multiply ``amps`` in place by the 2^k x 2^k ``m`` on k ``qubits``.
 
-    The qubits ascend, except that a pair may come in either order.  ``amps``
-    is C-contiguous with 2^n entries on its leading axis and an optional
-    trailing batch axis.  Viewed as (2^a, 2, 2^b, 2, ..., rest), each qubit
-    has its own axis; the first qubit is m's high bit.  The slices are
-    gathered into the spare ``work`` array and multiplied back in place.
+    The qubits ascend, except that a pair may come in either order; any other
+    order raises GateError before ``amps`` is touched.  ``amps`` is
+    C-contiguous with 2^n entries on its leading axis and an optional trailing
+    batch axis, and m's high bit is the first qubit.  Qubits that form one
+    range q..q+k-1 are a single axis of ``amps`` viewed as (2^q, 2^k, rest),
+    so one matmul writes the product into the spare ``work`` array, which is
+    copied back; a range that ends on the last qubit of an unbatched state
+    multiplies the (2^q, 2^k) view by m's transpose, as one matrix product.
+    Any other set is viewed as (2^a, 2, 2^b, 2, ..., rest), one axis per
+    qubit, and its slices are gathered into ``work`` and multiplied back.
+    ``work`` holds 1.5 states either way.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         qubits = qubits[::-1]
-    shape, low = [], 0
-    for q in qubits:
-        shape += [1 << (q - low), 2]  # a qubit out of order raises here
-        low = q + 1
-    view = amps.view()
-    view.shape = (*shape, -1)  # raises instead of copying a non-contiguous amps
-    sub = view.transpose(_QUBIT_AXES_FIRST[len(qubits)])
+    if any(b <= a for a, b in zip(qubits, qubits[1:])):
+        raise GateError(f"qubits must ascend, or be a pair in either order: {tuple(qubits)}")
     if work is None:
         work = np.empty((3, amps.size // 2), amps.dtype)
+    view = amps.view()
+    if qubits[-1] - qubits[0] == len(qubits) - 1:  # ascending, so a range
+        view.shape = (1 << qubits[0], len(m), -1)  # raises for a non-contiguous amps
+        product = work.reshape(-1)[: amps.size].reshape(view.shape)
+        if view.shape[2] == 1:  # one large matrix product, not 2^q small ones
+            np.matmul(view[..., 0], m.T, out=product[..., 0])
+        else:
+            np.matmul(m, view, out=product)
+        np.copyto(view, product)
+        return
+    shape, low = [], 0
+    for q in qubits:
+        shape += [1 << (q - low), 2]
+        low = q + 1
+    view.shape = (*shape, -1)
+    sub = view.transpose(_QUBIT_AXES_FIRST[len(qubits)])
     gathered = work[:2].reshape(len(m), -1)
     np.copyto(gathered.reshape(sub.shape), sub)
     half = len(m) // 2
@@ -288,15 +306,16 @@ def evolve(amps: np.ndarray, gates, marks=()):
     ``amps`` itself after the last gate).
 
     Gates fold into one open block on an ascending set of qubits.  A two-qubit
-    gate that reaches outside the set grows it while the set stays within
-    min(4, max(2, n-1)) of the n qubits; otherwise the block is applied in one
-    state pass and a block on the gate's own pair opens.  A gate inside the
-    set folds in by a small matmul with its matrix lifted onto the set, built
-    once per call.  A single-qubit gate outside the set commutes with every
-    gate since, so its product waits on its qubit and joins the block with
-    that qubit.  A mark applies the open block and the waiting products
-    (grouped by the same bound) to a copy, as the end does to ``amps``, so
-    each snapshot is bit-identical to its prefix alone.
+    gate that reaches outside the set grows it while the set stays a range of
+    at most min(4, max(2, n-1)) of the n qubits, which ``apply_matrix`` applies
+    in one matmul; otherwise the block is applied in one state pass and a
+    block on the gate's own pair opens.  A gate inside the set folds in by a
+    small matmul with its matrix lifted onto the set, built once per call.  A
+    single-qubit gate outside the set commutes with every gate since, so its
+    product waits on its qubit and joins the block with that qubit.  A mark
+    applies the open block and the waiting products (grouped on ranges of
+    adjacent qubits, within the same bound) to a copy, as the end does to
+    ``amps``, so each snapshot is bit-identical to its prefix alone.
 
     The fold records the blocks it applies between two marks.  A later stretch
     of the same gate objects that starts from the same open set, block bytes
@@ -330,9 +349,15 @@ def evolve(amps: np.ndarray, gates, marks=()):
     def flush(target: np.ndarray) -> None:
         if held:
             apply_matrix(target, block, held, work)
-        qs = sorted(waiting)
-        for i in range(0, len(qs), limit):
-            on = tuple(qs[i : i + limit])
+        # the waiting products on ranges of adjacent qubits, each within
+        # limit, so that every one takes the kernel's one-matmul path
+        ranges: list[list[int]] = []
+        for q in sorted(waiting):
+            if ranges and ranges[-1][-1] == q - 1 and len(ranges[-1]) < limit:
+                ranges[-1].append(q)
+            else:
+                ranges.append([q])
+        for on in map(tuple, ranges):
             apply_matrix(target, functools.reduce(_kron, map(waiting.get, on)), on, work)
 
     # (stretch gate ids, entry state) -> (blocks applied, exit state, the stretch,
@@ -362,7 +387,9 @@ def evolve(amps: np.ndarray, gates, marks=()):
                         waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
                     else:
                         grown = tuple(sorted({*held, *qubits}))
-                        if len(grown) > limit:
+                        # the set grows only into a range of at most limit
+                        # qubits, which the kernel applies in one matmul
+                        if held and (len(grown) > limit or grown[-1] - grown[0] >= len(grown)):
                             apply_matrix(amps, block, held, work)
                             applied.append((block, held))
                             held, block, grown = (), _ONE, tuple(sorted(qubits))

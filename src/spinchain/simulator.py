@@ -7,10 +7,13 @@ generator seeded explicitly, so identical seeds give identical outputs.  A
 series draws each circuit's samples from its own stream, spawned from the
 run seed, so no two circuits or seeds share one.
 
-Exact runs use ``circuits.evolve`` (gates fused into blocks of up to four
-qubits, in place, a repeated step replayed from its recorded blocks); noisy
-ones apply each gate and Pauli in place.  Each returned ``StateVector`` is
-checked once.
+Exact runs use ``circuits.evolve`` (gates fused into blocks on ranges of up to
+four qubits, each applied in place by one matmul on a reshaped view, a repeated
+step replayed from its recorded blocks); noisy ones apply each gate and Pauli in
+place, through the same kernel, which gathers any qubit set that is not a
+range.  Every site's <sigma^z> comes from one pairwise-halving pass over the
+probabilities, which ``simulate_series`` and ``expectation_z`` share, so the two
+agree bit for bit.  Each returned ``StateVector`` is checked once.
 """
 
 from __future__ import annotations
@@ -86,15 +89,23 @@ def _check_qubit(qubit: int, n: int) -> None:
         raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
 
 
-def _z_expectation(probs: np.ndarray, qubit: int) -> float:
-    # <sigma^z> of one qubit from the basis-state probabilities
-    return 1.0 - 2.0 * float(probs.reshape(1 << qubit, 2, -1)[:, 1].sum())
+def _z_expectations(probs: np.ndarray) -> list[float]:
+    # every qubit's <sigma^z> from the basis-state probabilities, which it
+    # overwrites: the high half of probs has the first qubit down, and adding
+    # it onto the low half leaves the distribution of the qubits after it, so
+    # all n values take O(2^n) in total
+    values = []
+    while len(probs) > 1:
+        low, high = probs.reshape(2, -1)
+        values.append(1.0 - 2.0 * float(high.sum()))
+        probs = np.add(low, high, out=low)
+    return values
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<sigma^z> on one qubit: +1 for |0> (spin-up), -1 for |1>."""
     _check_qubit(qubit, state.num_qubits)
-    return _z_expectation(np.abs(state.amplitudes) ** 2, qubit)
+    return _z_expectations(np.abs(state.amplitudes) ** 2)[qubit]
 
 
 def sample_counts(
@@ -251,8 +262,8 @@ def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> Magnetiz
             if plan.shots == 0:
                 probs = np.abs(state.amplitudes)
                 probs *= probs  # in place: one state-sized temporary fewer at the peak
-                for q in range(n):
-                    rows[q].append(_z_expectation(probs, q))
+                for row, value in zip(rows, _z_expectations(probs)):
+                    row.append(value)
             else:
                 counts = sample_counts(state, plan.shots, streams[index])
                 for q in range(n):

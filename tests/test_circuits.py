@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def _random_unitary(rng, dim):
     return q
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_apply_matrix_matches_enumeration_oracle(n, batch):
     rng = np.random.default_rng(100 + n)
@@ -187,6 +188,8 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
     ordered += [(a, b) for a in range(n) for b in range(n) if a != b]  # both orders
     # wider blocks come ascending: adjacent, such as (1, 2, 3), and interleaved
     ordered += [*itertools.combinations(range(n), 3), *itertools.combinations(range(n), 4)]
+    # ranges that end on the last qubit, up to the whole register
+    ordered += [tuple(range(a, n)) for a in range(n - 4)]
     for qubits in ordered:
         dim = 1 << len(qubits)
         phases = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
@@ -195,6 +198,19 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
             expected = dense_gate_oracle(m, qubits, n) @ amps
             apply_matrix(amps, m, qubits)
             assert np.max(np.abs(amps - expected)) <= 1e-12
+
+
+def test_apply_matrix_rejects_qubits_out_of_order():
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    before = amps.copy()
+    for k in (3, 4):
+        m = _random_unitary(rng, 1 << k)
+        for qubits in itertools.product(range(4), repeat=k):
+            if any(b <= a for a, b in zip(qubits, qubits[1:])):
+                with pytest.raises(GateError, match=re.escape(str(qubits))):
+                    apply_matrix(amps, m, qubits)
+                assert np.array_equal(amps, before)
 
 
 SINGLE_QUBIT_KINDS = tuple(k for k in GateKind if k.num_qubits == 1)
@@ -234,11 +250,15 @@ def test_evolve_snapshots_equal_each_prefix_alone():
             assert np.max(np.abs(snapshot - state.amplitudes)) <= 1e-12
 
 
-def _chain_program(n: int, steps: int) -> Program:
+def _chain_series(n: int, steps: int):
     model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=FieldProfile(amplitude=1.0))
     spins = ["down" if q % 3 == 1 else "up" for q in range(n)]
     plan = SimulationPlan(num_qubits=n, initial_spins=spins, delta_t=0.05, steps=steps)
-    return generate_circuits(model, plan).program
+    return generate_circuits(model, plan)
+
+
+def _chain_program(n: int, steps: int) -> Program:
+    return _chain_series(n, steps).program
 
 
 def test_run_statevector_applies_one_block_per_three_bonds_per_step(monkeypatch):
@@ -279,25 +299,37 @@ def test_evolve_wide_block_snapshots_equal_each_prefix_alone(n):
 
 
 def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeypatch):
-    widths = []
+    applied = []
 
     def recording(amps, m, qubits, *args):
         assert len(m) == 1 << len(qubits)
-        widths.append(len(qubits))
+        applied.append(tuple(qubits))
         apply_matrix(amps, m, qubits, *args)
+
+    def is_range(qubits):
+        return qubits == tuple(range(qubits[0], qubits[0] + len(qubits)))
 
     monkeypatch.setattr(circuits, "apply_matrix", recording)
     rng = np.random.default_rng(31)
     for n in range(1, 10):
-        widths.clear()
-        programs = [random_program(rng, n, 80)]
-        programs += [_chain_program(n, 3), _far_pair_program(rng, n)] if n >= 3 else []
-        for program in programs:
+        widths = []
+        programs = [(random_program(rng, n, 80), False)]
+        if n >= 3:
+            programs += [(_chain_program(n, 3), True), (_far_pair_program(rng, n), False)]
+        for program, chain in programs:
+            applied.clear()
             list(evolve(init_state(n).amplitudes, program.gates, range(0, len(program), 7)))
             program_unitary(program)
+            widths += map(len, applied)
+            # a chain's blocks are all ranges, which the kernel applies in one matmul
+            assert not chain or all(map(is_range, applied))
         bound = min(4, max(2, n - 1))
         assert max(widths) == (bound if n > 1 else 1)
         assert n < 3 or max(widths) < n
+    series = _chain_series(16, 3)
+    applied.clear()
+    list(evolve(init_state(16).amplitudes, series.program.gates, series.step_ends))
+    assert max(map(len, applied)) == 4 and all(map(is_range, applied))
 
 
 def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):

@@ -27,6 +27,7 @@ from spinchain import (
     simulate_series,
     unitary_equivalent,
 )
+from spinchain import simulator
 from spinchain.workflow import build_plan, prepare_circuits
 from helpers import dense_gate_oracle, random_gate, random_program
 
@@ -92,6 +93,19 @@ def test_apply_gate_reversed_two_qubit_order():
 def test_apply_gate_range_check():
     with pytest.raises(SimulationError):
         apply_gate(init_state(1), make_gate("x", [1]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_z_expectations_match_bit_sign_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    probs = np.abs(amps / np.linalg.norm(amps)) ** 2
+    # each basis index weighted by the sign of the qubit's bit
+    signs = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    expected = probs @ signs
+    values = simulator._z_expectations(probs.copy())
+    assert len(values) == n
+    assert np.max(np.abs(np.array(values) - expected)) <= 1e-14
 
 
 def test_expectation_z_against_enumeration():

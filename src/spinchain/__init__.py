@@ -17,7 +17,6 @@ from .circuits import (
     gate_matrix,
     make_gate,
     program_unitary,
-    unitary_equivalent,
 )
 from .compiler import (
     CompileError,
@@ -123,5 +122,4 @@ __all__ = [
     "run_workflow",
     "sample_counts",
     "simulate_series",
-    "unitary_equivalent",
 ]

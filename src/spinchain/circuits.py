@@ -44,6 +44,8 @@ class GateKind(enum.Enum):
     CNOT = "cnot"
     CZ = "cz"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is Python-level
+
     @property
     def num_qubits(self) -> int:
         return 2 if self in (GateKind.CNOT, GateKind.CZ) else 1
@@ -111,6 +113,17 @@ class Gate:
     def __reduce__(self):
         # rebuilt, not restored: an enum's hash differs between interpreters
         return Gate, (self.kind, self.angles, self.qubits)
+
+    @staticmethod
+    def _trusted(kind: GateKind, angles: tuple[float, ...], qubits: tuple[int, ...]) -> "Gate":
+        # a gate known to pass these checks: finite Python float angles, as
+        # many as kind takes, and the qubits of a valid gate of kind's arity
+        gate = object.__new__(Gate)
+        object.__setattr__(gate, "kind", kind)
+        object.__setattr__(gate, "angles", angles)
+        object.__setattr__(gate, "qubits", qubits)
+        object.__setattr__(gate, "_hash", hash((kind, angles, qubits)))
+        return gate
 
 
 def make_gate(kind: GateKind | str, qubits, angles=()) -> Gate:
@@ -228,22 +241,24 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
     """Left-multiply ``amps`` in place by the 2^k x 2^k ``m`` on k ``qubits``.
 
     The qubits ascend, except that a pair may come in either order; any other
-    order raises GateError before ``amps`` is touched.  ``amps`` is
-    C-contiguous with 2^n entries on its leading axis and an optional trailing
-    batch axis, and m's high bit is the first qubit.  Qubits that form one
-    range q..q+k-1 are a single axis of ``amps`` viewed as (2^q, 2^k, rest),
-    so one matmul writes the product into the spare ``work`` array, which is
-    copied back; a range that ends on the last qubit of an unbatched state
-    multiplies the (2^q, 2^k) view by m's transpose, as one matrix product.
-    Any other set is viewed as (2^a, 2, 2^b, 2, ..., rest), one axis per
-    qubit, and its slices are gathered into ``work`` and multiplied back.
-    ``work`` holds 1.5 states either way.
+    order, or a qubit outside the register, raises GateError before ``amps``
+    is touched.  ``amps`` is C-contiguous with 2^n entries on its leading axis
+    and an optional trailing batch axis, and m's high bit is the first qubit.
+    Qubits that form one range q..q+k-1 are a single axis of ``amps`` viewed
+    as (2^q, 2^k, rest), so one matmul writes the product into the spare
+    ``work`` array, which is copied back; a range that ends on the last qubit
+    of an unbatched state multiplies the (2^q, 2^k) view by m's transpose, as
+    one matrix product.  Any other set is viewed as (2^a, 2, 2^b, 2, ...,
+    rest), one axis per qubit, and its slices are gathered into ``work`` and
+    multiplied back.  ``work`` holds 1.5 states either way.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
         qubits = qubits[::-1]
     if any(b <= a for a, b in zip(qubits, qubits[1:])):
         raise GateError(f"qubits must ascend, or be a pair in either order: {tuple(qubits)}")
+    if qubits[-1] >= len(amps).bit_length() - 1:
+        raise GateError(f"qubits {tuple(qubits)} exceed the register of {len(amps)} amplitudes")
     if work is None:
         work = np.empty((3, amps.size // 2), amps.dtype)
     view = amps.view()
@@ -423,20 +438,6 @@ def program_unitary(program: Program) -> np.ndarray:
         )
     (u,) = evolve(np.eye(1 << n, dtype=np.complex128), program.gates, [len(program)])
     return u
-
-
-def unitary_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether a and b agree up to a global phase.
-
-    Uses the phase-invariant overlap |tr(a^dag b)| / 2^n >= 1 - tol, which is
-    1 exactly when b = e^{i phi} a.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise GateError(f"shape mismatch: {a.shape} vs {b.shape}")
-    dim = a.shape[0]
-    return bool(abs(np.trace(a.conj().T @ b)) / dim >= 1 - tol)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,17 @@ rewriting passes to a fixpoint; every rewrite preserves the program unitary
 up to a global phase, which the report records as a fidelity whenever the
 register is small enough to check densely.
 
-Each pass is one linear sweep: the gate list is held as a doubly linked list
-whose nodes are also linked per wire, so finding the next gate on a qubit,
-deleting a gate and moving one are O(1).  One such list carries a compile
-through every round; each pass edits it in place.  A memo, one per run,
-holds each distinct source gate's lowering and each distinct single-qubit
-run's synthesis, so the step segments of a run share that work.
+The gate list is held as a doubly linked list whose nodes are also linked
+per wire, so finding the next gate on a qubit, deleting a gate and moving one
+are O(1).  One list carries a compile through every round and marks as dirty
+each node whose gate or wire neighbourhood changes: merged, deleted, moved or
+substituted nodes and their neighbours on each wire.  Each pass visits, in
+list order, only the nodes dirtied since it last ran, so a round costs what
+the rounds before it changed (Nam et al., npj QI 4, 23, 2018).  A memo, one
+per run, holds each distinct source gate's lowering and single-qubit run's
+synthesis, so the step segments of a run share that work.  Gates made here
+are built by ``Gate._trusted``: their angles are Python floats from valid
+gates, ``_wrap`` or ``_zyz_angles``, and their qubits those of a valid gate.
 """
 
 from __future__ import annotations
@@ -27,16 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    Gate,
-    GateCounts,
-    GateKind,
-    Program,
-    gate_counts,
-    gate_matrix,
-    make_gate,
-    program_unitary,
-)
+from .circuits import Gate, GateCounts, GateKind, Program, gate_counts, gate_matrix, program_unitary
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -53,6 +49,9 @@ _SELF_INVERSE_KINDS = (GateKind.H, GateKind.X, GateKind.CNOT, GateKind.CZ)
 _DIAGONAL_KINDS = (GateKind.RZ, GateKind.U1, GateKind.Z, GateKind.S, GateKind.SDG)
 
 _X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_EYE2 = np.eye(2, dtype=np.complex128)
+
+_gate = Gate._trusted  # (kind, angles, qubits), each a tuple of valid parts
 
 
 class CompileError(RuntimeError):
@@ -73,11 +72,9 @@ class NativeTarget(enum.Enum):
     def allows(self, gate: Gate) -> bool:
         if self is NativeTarget.IBM:
             return gate.kind in (GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CNOT)
-        if gate.kind in (GateKind.RZ, GateKind.CZ):
-            return True
         if gate.kind is GateKind.RX:
             return _rx_native(gate.angles[0])
-        return False
+        return gate.kind in (GateKind.RZ, GateKind.CZ)
 
 
 def conforms(program: Program, target: NativeTarget) -> bool:
@@ -94,21 +91,51 @@ def _wrap(angle: float) -> float:
 def _rx_native(angle: float) -> bool:
     # Membership in {+-pi/2, +-pi} modulo 2*pi, to ANGLE_MATCH_TOL.
     d = angle % (2 * PI)
-    return any(abs(d - t) <= ANGLE_MATCH_TOL for t in (HALF_PI, PI, 3 * HALF_PI))
+    return min(abs(d - HALF_PI), abs(d - PI), abs(d - 3 * HALF_PI)) <= ANGLE_MATCH_TOL
 
 
 # ---------------------------------------------------------------------------
 # Generic lowering
 
 
-def _zxzxz(theta: float, phi: float, lam: float, q: int) -> list[Gate]:
+def _zxzxz(theta: float, phi: float, lam: float, q: tuple[int]) -> list[Gate]:
     # Circuit order; equals U3(theta, phi, lam) up to a global phase.
+    rx = _gate(GateKind.RX, (HALF_PI,), q)
+    z = [_gate(GateKind.RZ, (a,), q) for a in (lam, theta + PI, phi + PI)]
+    return [z[0], rx, z[1], rx, z[2]]
+
+
+# Per target, the kinds that lower to a fixed sequence on the gate's qubit:
+# each native gate as (kind, angles), None standing for the source's angle.
+_FIXED_LOWERINGS = {
+    NativeTarget.IBM: {
+        GateKind.H: [(GateKind.U2, (0.0, PI))],
+        GateKind.X: [(GateKind.U3, (PI, 0.0, PI))],
+        GateKind.Y: [(GateKind.U3, (PI, HALF_PI, HALF_PI))],
+        GateKind.Z: [(GateKind.U1, (PI,))],
+        GateKind.S: [(GateKind.U1, (HALF_PI,))],
+        GateKind.SDG: [(GateKind.U1, (-HALF_PI,))],
+        GateKind.RX: [(GateKind.U3, (None, -HALF_PI, HALF_PI))],
+        GateKind.RY: [(GateKind.U3, (None, 0.0, 0.0))],
+        GateKind.RZ: [(GateKind.U1, (None,))],
+    },
+    NativeTarget.RIGETTI: {
+        GateKind.H: [(GateKind.RZ, (HALF_PI,)), (GateKind.RX, (HALF_PI,)), (GateKind.RZ, (HALF_PI,))],
+        GateKind.X: [(GateKind.RX, (PI,))],
+        GateKind.Y: [(GateKind.RZ, (PI,)), (GateKind.RX, (PI,))],
+        GateKind.Z: [(GateKind.RZ, (PI,))],
+        GateKind.S: [(GateKind.RZ, (HALF_PI,))],
+        GateKind.SDG: [(GateKind.RZ, (-HALF_PI,))],
+        GateKind.U1: [(GateKind.RZ, (None,))],
+        GateKind.RY: [(GateKind.RX, (HALF_PI,)), (GateKind.RZ, (None,)), (GateKind.RX, (-HALF_PI,))],
+    },
+}
+
+
+def _fixed(target: NativeTarget, kind: GateKind, q: tuple[int, ...], angles=()) -> list[Gate]:
     return [
-        make_gate(GateKind.RZ, [q], [lam]),
-        make_gate(GateKind.RX, [q], [HALF_PI]),
-        make_gate(GateKind.RZ, [q], [theta + PI]),
-        make_gate(GateKind.RX, [q], [HALF_PI]),
-        make_gate(GateKind.RZ, [q], [phi + PI]),
+        _gate(k, tuple(angles[0] if a is None else a for a in fixed), q)
+        for k, fixed in _FIXED_LOWERINGS[target][kind]
     ]
 
 
@@ -116,88 +143,40 @@ def _lower_gate_ibm(g: Gate) -> list[Gate]:
     k, q = g.kind, g.qubits
     if k in (GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CNOT):
         return [g]
-    if k is GateKind.H:
-        return [make_gate(GateKind.U2, q, [0.0, PI])]
-    if k is GateKind.X:
-        return [make_gate(GateKind.U3, q, [PI, 0.0, PI])]
-    if k is GateKind.Y:
-        return [make_gate(GateKind.U3, q, [PI, HALF_PI, HALF_PI])]
-    if k is GateKind.Z:
-        return [make_gate(GateKind.U1, q, [PI])]
-    if k is GateKind.S:
-        return [make_gate(GateKind.U1, q, [HALF_PI])]
-    if k is GateKind.SDG:
-        return [make_gate(GateKind.U1, q, [-HALF_PI])]
-    if k is GateKind.RX:
-        return [make_gate(GateKind.U3, q, [g.angles[0], -HALF_PI, HALF_PI])]
-    if k is GateKind.RY:
-        return [make_gate(GateKind.U3, q, [g.angles[0], 0.0, 0.0])]
-    if k is GateKind.RZ:
-        return [make_gate(GateKind.U1, q, [g.angles[0]])]
-    if k is GateKind.CZ:
-        hadamard = make_gate(GateKind.U2, [q[1]], [0.0, PI])
-        return [hadamard, make_gate(GateKind.CNOT, q), hadamard]
-    raise CompileError(f"no ibm lowering for {k.value}")
+    if k is GateKind.CZ:  # H CNOT H, the Hs on its second qubit
+        hadamard = _fixed(NativeTarget.IBM, GateKind.H, q[1:])
+        return hadamard + [_gate(GateKind.CNOT, (), q)] + hadamard
+    return _fixed(NativeTarget.IBM, k, q, g.angles)
 
 
 def _lower_gate_rigetti(g: Gate) -> list[Gate]:
-    k, q = g.kind, g.qubits
-    if k in (GateKind.RZ, GateKind.CZ):
+    k, q, a = g.kind, g.qubits, g.angles
+    if k in (GateKind.RZ, GateKind.CZ) or k is GateKind.RX and _rx_native(a[0]):
         return [g]
+    if k is GateKind.CNOT:  # H CZ H, the Hs on its target
+        hadamard = _fixed(NativeTarget.RIGETTI, GateKind.H, q[1:])
+        return hadamard + [_gate(GateKind.CZ, (), q)] + hadamard
     if k is GateKind.RX:
-        if _rx_native(g.angles[0]):
-            return [g]
-        return _zxzxz(g.angles[0], -HALF_PI, HALF_PI, q[0])
-    if k is GateKind.H:
-        return [
-            make_gate(GateKind.RZ, q, [HALF_PI]),
-            make_gate(GateKind.RX, q, [HALF_PI]),
-            make_gate(GateKind.RZ, q, [HALF_PI]),
-        ]
-    if k is GateKind.X:
-        return [make_gate(GateKind.RX, q, [PI])]
-    if k is GateKind.Y:
-        return [make_gate(GateKind.RZ, q, [PI]), make_gate(GateKind.RX, q, [PI])]
-    if k is GateKind.Z:
-        return [make_gate(GateKind.RZ, q, [PI])]
-    if k is GateKind.S:
-        return [make_gate(GateKind.RZ, q, [HALF_PI])]
-    if k is GateKind.SDG:
-        return [make_gate(GateKind.RZ, q, [-HALF_PI])]
-    if k is GateKind.U1:
-        return [make_gate(GateKind.RZ, q, [g.angles[0]])]
-    if k is GateKind.RY:
-        return [
-            make_gate(GateKind.RX, q, [HALF_PI]),
-            make_gate(GateKind.RZ, q, [g.angles[0]]),
-            make_gate(GateKind.RX, q, [-HALF_PI]),
-        ]
+        return _zxzxz(a[0], -HALF_PI, HALF_PI, q)
     if k is GateKind.U2:
-        return _zxzxz(HALF_PI, g.angles[0], g.angles[1], q[0])
+        return _zxzxz(HALF_PI, *a, q)
     if k is GateKind.U3:
-        return _zxzxz(g.angles[0], g.angles[1], g.angles[2], q[0])
-    if k is GateKind.CNOT:
-        control, target = q
-        h_native = [
-            make_gate(GateKind.RZ, [target], [HALF_PI]),
-            make_gate(GateKind.RX, [target], [HALF_PI]),
-            make_gate(GateKind.RZ, [target], [HALF_PI]),
-        ]
-        return h_native + [make_gate(GateKind.CZ, [control, target])] + h_native
-    raise CompileError(f"no rigetti lowering for {k.value}")
+        return _zxzxz(*a, q)
+    return _fixed(NativeTarget.RIGETTI, k, q, a)
 
 
-def _memo_tables(memo: dict | None, target: NativeTarget) -> tuple[dict, dict]:
-    # memo's (lowered, synthesized) tables for target: {source gate: its
-    # lowering} and {run of single-qubit gates: its synthesis}
-    return ({} if memo is None else memo).setdefault(target, ({}, {}))
+def _memo_tables(memo: dict | None, target: NativeTarget) -> tuple[dict, dict, dict]:
+    # memo's tables for target, keyed by _memo_key: {source gate: its lowering},
+    # {run of single-qubit gates: its synthesis} and {gate in a run: its matrix}
+    return ({} if memo is None else memo).setdefault(target, ({}, {}, {}))
 
 
 def _memo_key(gates: tuple[Gate, ...]):
     # Gates compare by value, and an angle of -0.0 equals 0.0 but prints as
     # "-0"; when any angle is zero, its text keeps the two zeros apart.
-    if any(0.0 in g.angles for g in gates):
-        return gates, repr([g.angles for g in gates])
+    for g in gates:
+        if 0.0 in g.angles:
+            return gates, repr([g.angles for g in gates])
     return gates
 
 
@@ -215,27 +194,31 @@ def _lower_gates(gates, target: NativeTarget, lowered: dict) -> list[Gate]:
 
 def lower_generic(program: Program, target: NativeTarget, memo: dict | None = None) -> Program:
     """Gate-by-gate substitution into the target set; no optimization."""
-    lowered, _ = _memo_tables(memo, target)
+    lowered = _memo_tables(memo, target)[0]
     return Program(program.num_qubits, tuple(_lower_gates(program.gates, target, lowered)))
 
 
 # ---------------------------------------------------------------------------
-# Peephole passes.  Each pass edits a ``_Links`` in place, returns whether it
-# changed anything and must preserve the program unitary up to a global phase
-# on any input.  "Adjacent" always means: no gate in between touches any of
-# the qubits involved.
+# Peephole passes.  Each pass edits a ``_Links`` in place, looking only at the
+# nodes stamped since ``since``, returns whether it changed anything and must
+# preserve the program unitary up to a global phase on any input.  "Adjacent"
+# always means: no gate in between touches any of the qubits involved.
 
 
 class _Links:
     """A gate list as a doubly linked list whose nodes are also linked per wire.
 
     Node i starts as ``gates[i]``.  ``after``/``before`` give the list order and
-    ``wire_after[i][q]``/``wire_before[i][q]`` the next and previous node on
+    ``wire_after[q][i]``/``wire_before[q][i]`` the next and previous node on
     qubit q.  Node ``end`` (gate None) closes the list and every wire, so the
     next gate touching a node's qubits is one lookup, and deleting or moving a
-    node is O(1).  ``size`` counts the linked gates.  A sweep visits the nodes
-    in list order; after a merge it looks at the same node again, after a
-    cancel or a move it goes on at the node's old successor.
+    node is O(1).  ``size`` counts the linked gates.
+
+    Deleting, linking in or substituting a node stamps it and its neighbour on
+    each wire with ``clock``; ``marked`` is the last clock stamped.  A pass
+    given ``since`` visits the nodes stamped at or after it in list order:
+    after a merge the same node again, after a cancel or a move its old
+    successor.
     """
 
     def __init__(self, gates) -> None:
@@ -243,39 +226,53 @@ class _Links:
         self.gates = [*gates, None]
         self.after = [*range(1, n + 1), 0]
         self.before = [n, *range(n)]
-        self.wire_after = [dict.fromkeys(g.qubits, n) for g in gates] + [{}]
-        self.wire_before: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        last: dict[int, int] = {}
+        width = 1 + max((q for g in gates for q in g.qubits), default=-1)
+        wire_after = self.wire_after = [[n] * (n + 1) for _ in range(width)]
+        wire_before = self.wire_before = [[n] * (n + 1) for _ in range(width)]
         for i, g in enumerate(gates):
-            for q in g.qubits:
-                p = self.wire_before[i][q] = last.get(q, n)
-                self.wire_after[p][q] = last[q] = i
+            for q in g.qubits:  # wire_before[q][end] is the last node on q so far
+                p = wire_before[q][i] = wire_before[q][n]
+                wire_after[q][p] = wire_before[q][n] = i
+        self.stamp = [0] * (n + 1)
+        self.clock = self.marked = 0
+
+    def _mark(self, i: int) -> None:
+        stamp, self.marked = self.stamp, self.clock
+        stamp[i] = self.clock
+        for q in self.gates[i].qubits:
+            stamp[self.wire_before[q][i]] = stamp[self.wire_after[q][i]] = self.clock
 
     def next_touching(self, i: int) -> int:
-        """The next node on every wire of node i (a gate has one or two), or
-        end if no one node is."""
-        qubits, wires = self.gates[i].qubits, self.wire_after[i]
-        j = wires[qubits[0]]
-        return j if wires[qubits[-1]] == j else self.end
+        """The next node on every wire of node i (one or two), or end if none is."""
+        qubits, wire_after = self.gates[i].qubits, self.wire_after
+        j = wire_after[qubits[0]][i]
+        return j if wire_after[qubits[-1]][i] == j else self.end
 
     def delete(self, i: int) -> None:
+        self._mark(i)
         self.size -= 1
         a, b = self.after[i], self.before[i]
         self.after[b], self.before[a] = a, b
-        for q, p in self.wire_before[i].items():
-            s = self.wire_after[i][q]
-            self.wire_after[p][q], self.wire_before[s][q] = s, p
+        for q in self.gates[i].qubits:
+            after, before = self.wire_after[q], self.wire_before[q]
+            after[before[i]], before[after[i]] = after[i], before[i]
 
     def insert_after(self, i: int, e: int) -> None:
-        """Link the deleted node i back in right after node e, which touches
-        every wire of i."""
+        """Link the deleted node i back in right after node e, on all its wires."""
         self.size += 1
         a = self.after[e]
         self.after[e], self.before[i], self.after[i], self.before[a] = i, e, a, i
-        for q in self.wire_before[i]:
-            s = self.wire_after[e][q]
-            self.wire_after[e][q] = self.wire_before[s][q] = i
-            self.wire_before[i][q], self.wire_after[i][q] = e, s
+        for q in self.gates[i].qubits:
+            after, before = self.wire_after[q], self.wire_before[q]
+            s = after[e]
+            after[e] = before[s] = i
+            before[i], after[i] = e, s
+        self._mark(i)
+
+    def substitute(self, i: int, gate: Gate) -> None:
+        """Put gate, on the same qubits, at the linked node i."""
+        self.gates[i] = gate
+        self._mark(i)
 
     def in_order(self) -> list[Gate]:
         out, i = [], self.after[self.end]
@@ -285,70 +282,66 @@ class _Links:
         return out
 
 
-def _pass_merge_rotations(links: _Links, target: NativeTarget) -> bool:
+def _pass_merge_rotations(links: _Links, target: NativeTarget, since: int) -> bool:
     """Sum adjacent same-kind rotations on the same qubit.
 
     On the RIGETTI target an RX pair only merges when the summed angle is
     itself native (or zero, which the drop pass then removes); anything else
     would push the gate out of the allowed angle set.
     """
-    size = links.size
-    i = links.after[links.end]
-    while i != links.end:
-        g = links.gates[i]
-        if g.kind in _ROTATION_KINDS:
-            j = links.next_touching(i)
-            h = links.gates[j]
-            if h is not None and h.kind is g.kind and h.qubits == g.qubits:
-                total = _wrap(g.angles[0] + h.angles[0])
-                mergeable = True
-                if g.kind is GateKind.RX and target is NativeTarget.RIGETTI:
-                    mergeable = abs(total) <= ZERO_ANGLE_TOL or _rx_native(total)
-                if mergeable:
-                    links.delete(j)
-                    links.gates[i] = make_gate(g.kind, g.qubits, [total])
-                    continue
-        i = links.after[i]
+    size, after, end, stamp, gates = links.size, links.after, links.end, links.stamp, links.gates
+    wire_after = links.wire_after
+    i = after[end]
+    while i != end:
+        if stamp[i] >= since:
+            g = gates[i]
+            if g.kind in _ROTATION_KINDS:
+                h = gates[j := wire_after[g.qubits[0]][i]]
+                if h is not None and h.kind is g.kind and h.qubits == g.qubits:
+                    total = _wrap(g.angles[0] + h.angles[0])
+                    mergeable = True
+                    if g.kind is GateKind.RX and target is NativeTarget.RIGETTI:
+                        mergeable = abs(total) <= ZERO_ANGLE_TOL or _rx_native(total)
+                    if mergeable:
+                        links.delete(j)
+                        links.substitute(i, _gate(g.kind, (total,), g.qubits))
+                        continue
+        i = after[i]
     return links.size != size
 
 
-def _pass_cancel_inverse_pairs(links: _Links, target: NativeTarget) -> bool:
+def _pass_cancel_inverse_pairs(links: _Links, target: NativeTarget, since: int) -> bool:
     """Drop adjacent identical self-inverse pairs (H, X, CNOT, CZ)."""
-    size = links.size
-    i = links.after[links.end]
-    while i != links.end:
-        g = links.gates[i]
-        if g.kind in _SELF_INVERSE_KINDS:
-            j = links.next_touching(i)
-            h = links.gates[j]
-            if h is not None and h.kind is g.kind:
-                same = h.qubits == g.qubits or (
-                    g.kind is GateKind.CZ and set(h.qubits) == set(g.qubits)
-                )
-                if same:
+    size, after, end, stamp, gates = links.size, links.after, links.end, links.stamp, links.gates
+    i = after[end]
+    while i != end:
+        if stamp[i] >= since:
+            g = gates[i]
+            if g.kind in _SELF_INVERSE_KINDS:
+                h = gates[j := links.next_touching(i)]
+                if h is not None and h.kind is g.kind and (
+                    h.qubits == g.qubits or g.kind is GateKind.CZ and h.qubits == g.qubits[::-1]
+                ):
                     links.delete(j)
-                    successor = links.after[i]
+                    successor = after[i]
                     links.delete(i)
                     i = successor
                     continue
-        i = links.after[i]
+        i = after[i]
     return links.size != size
 
 
-def _pass_drop_zero_rotations(links: _Links, target: NativeTarget) -> bool:
+def _pass_drop_zero_rotations(links: _Links, target: NativeTarget, since: int) -> bool:
     """Remove rotations whose angle is 0 modulo 2*pi (within 1e-12)."""
-    size = links.size
-    i = links.after[links.end]
-    while i != links.end:
-        g, successor = links.gates[i], links.after[i]
-        if g.kind in _ROTATION_KINDS and abs(_wrap(g.angles[0])) <= ZERO_ANGLE_TOL:
-            links.delete(i)
+    size, after, end, stamp, gates = links.size, links.after, links.end, links.stamp, links.gates
+    i = after[end]
+    while i != end:
+        g, successor = gates[i], after[i]
+        if stamp[i] >= since and g.kind in _ROTATION_KINDS:
+            if abs(_wrap(g.angles[0])) <= ZERO_ANGLE_TOL:
+                links.delete(i)
         i = successor
     return links.size != size
-
-
-def _is_diagonal(g: Gate) -> bool:
-    return g.kind in _DIAGONAL_KINDS
 
 
 def _commutes_with_x(g: Gate) -> bool:
@@ -360,7 +353,7 @@ def _commutes_with_x(g: Gate) -> bool:
     return False
 
 
-def _pass_commute_through_entanglers(links: _Links, target: NativeTarget) -> bool:
+def _pass_commute_through_entanglers(links: _Links, target: NativeTarget, since: int) -> bool:
     """Move single-qubit gates rightward through entanglers they commute with.
 
     Diagonal gates (RZ/U1 and friends) slide through CZ on either leg and
@@ -368,31 +361,33 @@ def _pass_commute_through_entanglers(links: _Links, target: NativeTarget) -> boo
     drift is rightward only, which both terminates and parks rotations next
     to each other for the merge and fuse passes.
     """
-    moved = False
-    i = links.after[links.end]
-    while i != links.end:
-        g = links.gates[i]
-        if len(g.qubits) == 1:
-            j = links.next_touching(i)
-            e = links.gates[j]
-            if e is not None:
-                q = g.qubits[0]
-                movable = False
-                if e.kind is GateKind.CZ:
-                    movable = _is_diagonal(g)
-                elif e.kind is GateKind.CNOT:
-                    if q == e.qubits[0]:
-                        movable = _is_diagonal(g)
-                    else:
-                        movable = _commutes_with_x(g)
+    moved, after, end, stamp, gates = False, links.after, links.end, links.stamp, links.gates
+    wire_after = links.wire_after
+    i = after[end]
+    while i != end:
+        if stamp[i] >= since:
+            g = gates[i]
+            if len(g.qubits) == 1:
+                e = gates[j := wire_after[g.qubits[0]][i]]
+                if e is None or e.kind not in (GateKind.CZ, GateKind.CNOT):
+                    movable = False
+                elif e.kind is GateKind.CZ or g.qubits[0] == e.qubits[0]:
+                    movable = g.kind in _DIAGONAL_KINDS  # through a CZ or a control
+                else:
+                    movable = _commutes_with_x(g)
                 if movable:
-                    successor = links.after[i]
+                    successor = after[i]
                     links.delete(i)
                     links.insert_after(i, j)
                     i, moved = successor, True
                     continue
-        i = links.after[i]
+        i = after[i]
     return moved
+
+
+def _angle(z: np.complex128) -> np.float64:
+    # np.angle(z): the same arctan2, without its array conversions
+    return np.arctan2(z.imag, z.real)
 
 
 def _zyz_angles(m: np.ndarray) -> tuple[float, float, float]:
@@ -406,96 +401,110 @@ def _zyz_angles(m: np.ndarray) -> tuple[float, float, float]:
     m = m / np.sqrt(det)
     theta = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
     if theta <= SYNTH_BRANCH_TOL:
-        return 0.0, _wrap(float(np.angle(m[1, 1]) - np.angle(m[0, 0]))), 0.0
+        return 0.0, _wrap(float(_angle(m[1, 1]) - _angle(m[0, 0]))), 0.0
     if theta >= PI - SYNTH_BRANCH_TOL:
-        return PI, _wrap(float(np.angle(m[1, 0]) - np.angle(-m[0, 1]))), 0.0
-    phi = _wrap(float(np.angle(m[1, 0]) - np.angle(m[0, 0])))
-    lam = _wrap(float(np.angle(-m[0, 1]) - np.angle(m[0, 0])))
+        return PI, _wrap(float(_angle(m[1, 0]) - _angle(-m[0, 1]))), 0.0
+    phi = _wrap(float(_angle(m[1, 0]) - _angle(m[0, 0])))
+    lam = _wrap(float(_angle(-m[0, 1]) - _angle(m[0, 0])))
     return theta, phi, lam
 
 
-def _resynthesize(m: np.ndarray, target: NativeTarget, q: int) -> list[Gate]:
-    """Shortest native single-qubit sequence for a 2x2 unitary, up to phase."""
+def _resynthesize(m: np.ndarray, target: NativeTarget, q: tuple[int]) -> list[Gate]:
+    """Shortest native single-qubit sequence on q for a 2x2 unitary, up to phase."""
     theta, phi, lam = _zyz_angles(m)
     if target is NativeTarget.IBM:
         if theta == 0.0 and abs(phi) <= ZERO_ANGLE_TOL:
             return []
-        return [make_gate(GateKind.U3, [q], [theta, phi, lam])]
+        return [_gate(GateKind.U3, (theta, phi, lam), q)]
     if theta == 0.0:
-        if abs(phi) <= ZERO_ANGLE_TOL:
-            return []
-        return [make_gate(GateKind.RZ, [q], [phi])]
+        return [] if abs(phi) <= ZERO_ANGLE_TOL else [_gate(GateKind.RZ, (phi,), q)]
     if theta == PI:
-        out = [make_gate(GateKind.RX, [q], [PI])]
         delta = _wrap(phi + PI)
-        if abs(delta) > ZERO_ANGLE_TOL:
-            out.append(make_gate(GateKind.RZ, [q], [delta]))
-        return out
+        rz = [_gate(GateKind.RZ, (delta,), q)] if abs(delta) > ZERO_ANGLE_TOL else []
+        return [_gate(GateKind.RX, (PI,), q), *rz]
     out = []
     if abs(_wrap(lam)) > ZERO_ANGLE_TOL:
-        out.append(make_gate(GateKind.RZ, [q], [_wrap(lam)]))
-    out += [
-        make_gate(GateKind.RX, [q], [HALF_PI]),
-        make_gate(GateKind.RZ, [q], [_wrap(theta + PI)]),
-        make_gate(GateKind.RX, [q], [HALF_PI]),
-    ]
+        out.append(_gate(GateKind.RZ, (_wrap(lam),), q))
+    rx = _gate(GateKind.RX, (HALF_PI,), q)
+    out += [rx, _gate(GateKind.RZ, (_wrap(theta + PI),), q), rx]
     if abs(_wrap(phi + PI)) > ZERO_ANGLE_TOL:
-        out.append(make_gate(GateKind.RZ, [q], [_wrap(phi + PI)]))
+        out.append(_gate(GateKind.RZ, (_wrap(phi + PI),), q))
     return out
 
 
+def _takes_three(run: tuple[Gate, ...]) -> bool:
+    # RZs and RX(+-pi)s around one RX(+-pi/2) multiply to entries of modulus
+    # 1/sqrt(2) only: theta = pi/2, which RIGETTI spells RX RZ RX at the least
+    quarters = 0
+    for g in run:
+        turn = abs(_wrap(g.angles[0])) if g.kind is GateKind.RX else None
+        if turn is not None and abs(turn - HALF_PI) <= ANGLE_MATCH_TOL:
+            quarters += 1
+        elif g.kind is not GateKind.RZ and (turn is None or abs(turn - PI) > ANGLE_MATCH_TOL):
+            return False
+    return quarters == 1
+
+
 def _pass_fuse_single_qubit_runs(
-    links: _Links, target: NativeTarget, synthesized: dict | None = None
+    links: _Links, target: NativeTarget, since: int, synthesized: dict | None = None,
+    matrices: dict | None = None,
 ) -> bool:
     """Collapse maximal single-qubit runs when a shorter native form exists.
 
     A run is a wire-contiguous stretch of single-qubit gates on one qubit.
     Its product is re-synthesized (one U3 on IBM, a native ZXZXZ-style
     sequence on RIGETTI) and substituted at the position of the run's first
-    gate, but only when that is strictly shorter.  ``synthesized`` maps each
-    run met before (its gates, in order) to its synthesis, so that equal runs
-    are synthesized once.
+    gate, but only when that is strictly shorter.  Only runs holding a dirty
+    node are looked at; a change next to a run marks its neighbour in it.
+    ``synthesized`` maps each run met before (its gates, in order) to its
+    synthesis and ``matrices`` each gate to its matrix, so each is built once.
     """
-    if synthesized is None:
-        synthesized = {}
-    end, gates, wire_after = links.end, links.gates, links.wire_after
-    runs: list[list[int]] = []
+    synthesized = {} if synthesized is None else synthesized
+    matrices = {} if matrices is None else matrices
+    end, gates, stamp = links.end, links.gates, links.stamp
+    wire_after, wire_before = links.wire_after, links.wire_before
+    starts = []  # the first node of each run with a dirty node, found once
     i = links.after[end]
-    while i != end:  # each run of two or more, found from its first gate
-        qubits = gates[i].qubits
-        if len(qubits) == 1:
-            q = qubits[0]
-            p = links.wire_before[i][q]
+    while i != end:
+        if stamp[i] >= since and len(gates[i].qubits) == 1:
+            first, q = i, gates[i].qubits[0]
+            p = wire_before[q][i]  # back to the run's first node or an earlier dirty one
+            while p != end and len(gates[p].qubits) == 1 and stamp[p] < since:
+                first, p = p, wire_before[q][p]
             if p == end or len(gates[p].qubits) == 2:
-                run, j = [i], wire_after[i][q]
-                while j != end and len(gates[j].qubits) == 1:
-                    run.append(j)
-                    j = wire_after[j][q]
-                if len(run) > 1:
-                    runs.append(run)
+                starts.append(first)
         i = links.after[i]
 
     changed = False
-    for run in runs:
-        run_gates = tuple(gates[i] for i in run)
+    for first in starts:
+        q = gates[first].qubits[0]
+        run, j = [first], wire_after[q][first]
+        while j != end and len(gates[j].qubits) == 1:
+            run.append(j)
+            j = wire_after[q][j]
+        run_gates = tuple([gates[i] for i in run])
+        if len(run) < 2 or len(run) < 4 and target is NativeTarget.RIGETTI and _takes_three(run_gates):
+            continue  # no synthesis is shorter
         key = _memo_key(run_gates)
         synth = synthesized.get(key)
         if synth is None:
-            m = np.eye(2, dtype=np.complex128)
+            m = _EYE2
             for g in run_gates:
-                m = gate_matrix(g) @ m
-            synth = synthesized[key] = _resynthesize(m, target, run_gates[0].qubits[0])
+                g_m = matrices.get(g_key := _memo_key((g,)))
+                if g_m is None:
+                    g_m = matrices[g_key] = gate_matrix(g)
+                m = g_m @ m
+            synth = synthesized[key] = _resynthesize(m, target, run_gates[0].qubits)
         if len(synth) < len(run):
             # the synthesis takes over the run's first nodes, linked in a row
-            for i in run[1:]:
+            for i in run[len(synth) :]:
                 links.delete(i)
-            for prev, i, g in zip(run, run[1:], synth[1:]):
-                gates[i] = g
-                links.insert_after(i, prev)
-            if synth:
-                gates[run[0]] = synth[0]
-            else:
-                links.delete(run[0])
+            for prev, i in zip(run, run[1 : len(synth)]):
+                if links.after[prev] != i:
+                    links.delete(i)
+                    links.insert_after(i, prev)
+            for i, g in zip(run, synth):
+                links.substitute(i, g)
             changed = True
     return changed
 
@@ -539,12 +548,7 @@ def _equivalence(a: Program, b: Program) -> tuple[bool, float | None]:
     return True, fidelity
 
 
-def _report(
-    source: Program,
-    compiled: Program,
-    target: NativeTarget,
-    applied: list[tuple[str, int]],
-) -> CompileReport:
+def _report(source: Program, compiled: Program, target: NativeTarget, applied) -> CompileReport:
     checked, fidelity = _equivalence(source, compiled)
     return CompileReport(
         target=target,
@@ -561,32 +565,32 @@ def ds_compile(
 ) -> tuple[Program, CompileReport]:
     """Lower to the target set, then optimize to a fixpoint.
 
-    The pass pipeline runs round-robin; a full round with no change ends the
-    loop.  Exceeding MAX_PASS_ROUNDS means some rewrite is cycling, which is
-    a bug worth surfacing rather than hiding.  ``memo`` is as for
-    ``compile_program``.
+    The pass pipeline runs round-robin, each pass on the nodes dirtied since
+    it last ran; a round with no change ends the loop.  Exceeding
+    MAX_PASS_ROUNDS means some rewrite is cycling, which is a bug worth
+    surfacing rather than hiding.  ``memo`` is as for ``compile_program``.
     """
-    lowered, synthesized = _memo_tables(memo, target)
+    lowered, synthesized, matrices = _memo_tables(memo, target)
     links = _Links(_lower_gates(program.gates, target, lowered))
     applied = [("lower_generic", links.size - len(program.gates))]
+    seen = [0] * len(_PASSES)  # per pass, the clock of its last run
     for _ in range(MAX_PASS_ROUNDS):
         changed = False
-        for name, pass_fn in _PASSES:
-            size = links.size
-            if pass_fn is _pass_fuse_single_qubit_runs:
-                fired = pass_fn(links, target, synthesized)
-            else:
-                fired = pass_fn(links, target)
-            if fired:
+        for k, (name, pass_fn) in enumerate(_PASSES):
+            if links.marked < seen[k]:
+                continue  # no node is dirty since the pass last ran
+            since, links.clock = seen[k], links.clock + 1
+            seen[k], size = links.clock, links.size
+            extra = (synthesized, matrices) if pass_fn is _pass_fuse_single_qubit_runs else ()
+            if pass_fn(links, target, since, *extra):
                 applied.append((name, links.size - size))
                 changed = True
         if not changed:
             break
     else:
-        raise CompileError(
-            f"pass pipeline failed to reach a fixpoint in {MAX_PASS_ROUNDS} rounds"
-        )
-    compiled = Program(program.num_qubits, tuple(links.in_order()))
+        raise CompileError(f"pass pipeline failed to reach a fixpoint in {MAX_PASS_ROUNDS} rounds")
+    # every gate is the program's, or made by a pass on the qubits of one
+    compiled = Program._unchecked(program.num_qubits, tuple(links.in_order()))
     return compiled, _report(program, compiled, target, applied)
 
 
@@ -596,20 +600,16 @@ def compile_program(
     """Dispatch on compile mode: 'generic' lowering or 'domain_specific'.
 
     ``memo`` is a dict that carries work from one call to the next: each
-    distinct source gate's lowering and each distinct single-qubit run's
-    synthesis (kept even when it is not shorter).  Its keys are whole gates,
-    so a hit returns exactly what the work would.  Pass one fresh dict to the
-    compilations of one run and drop it with the run.
+    distinct source gate's lowering, each distinct single-qubit run's
+    synthesis (kept even when it is not shorter) and each distinct gate's
+    matrix in a run.  Its keys are whole gates, so a hit returns exactly what
+    the work would.  Pass one fresh dict to the compilations of one run and
+    drop it with the run.
     """
     if mode == "generic":
         lowered = lower_generic(program, target, memo)
-        report = _report(
-            program,
-            lowered,
-            target,
-            [("lower_generic", len(lowered.gates) - len(program.gates))],
-        )
-        return lowered, report
+        delta = len(lowered.gates) - len(program.gates)
+        return lowered, _report(program, lowered, target, [("lower_generic", delta)])
     if mode == "domain_specific":
         return ds_compile(program, target, memo)
     raise CompileError(f"unknown compile mode {mode!r}")

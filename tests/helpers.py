@@ -6,9 +6,24 @@ import functools
 
 import numpy as np
 
-from spinchain import GateKind, Program, compiler, make_gate
+from spinchain import GateError, GateKind, Program, RunConfig, compiler, make_gate
 
 ALL_KINDS = tuple(GateKind)
+
+# kinds that make merges, cancellations and moves frequent
+DENSE_KINDS = (
+    GateKind.RZ, GateKind.RX, GateKind.U1, GateKind.U3, GateKind.H, GateKind.X,
+    GateKind.CZ, GateKind.CNOT,
+)
+
+# compiled_sampled in perfbench/workloads.py: a driven n=6 domain wall
+# compiled to Rigetti
+COMPILED_SAMPLED = RunConfig(
+    jx=1.0, jy=0.8, jz=0.5, h_ext=1.0, time_dep_flag=True, freq=0.25,
+    num_qubits=6, initial_spins=("up", "up", "up", "down", "down", "down"),
+    delta_t=0.05, steps=12, shots=4096, backend="rigetti",
+    compile_mode="domain_specific", seed=1,
+)
 
 
 def random_gate(rng: np.random.Generator, num_qubits: int, kinds=ALL_KINDS):
@@ -55,18 +70,33 @@ def dense_gate_oracle(matrix: np.ndarray, qubits, num_qubits: int) -> np.ndarray
 def on_list(pass_fn):
     """A compiler pass as a function from a gate list to the list it leaves.
 
-    The pass edits a linked list in place and must say whether it changed it.
+    The pass edits a linked list in place, where every node starts dirty, so
+    it sweeps the whole list, and must say whether it changed it.
     """
 
     @functools.wraps(pass_fn)
     def run(gates, target, *args):
         links = compiler._Links(gates)
-        changed = pass_fn(links, target, *args)
+        changed = pass_fn(links, target, 0, *args)
         out = links.in_order()
         assert changed == (out != list(gates)), pass_fn.__name__
         return out
 
     return run
+
+
+def unitary_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
+    """Whether a and b agree up to a global phase.
+
+    Uses the phase-invariant overlap |tr(a^dag b)| / 2^n >= 1 - tol, which is
+    1 exactly when b = e^{i phi} a.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise GateError(f"shape mismatch: {a.shape} vs {b.shape}")
+    dim = a.shape[0]
+    return bool(abs(np.trace(a.conj().T @ b)) / dim >= 1 - tol)
 
 
 def programs_structurally_equal(a: Program, b: Program, angle_tol: float = 1e-12) -> bool:
@@ -148,10 +178,10 @@ def commute_through_entanglers_oracle(gates, target):
                 q = g.qubits[0]
                 movable = False
                 if e.kind is GateKind.CZ:
-                    movable = compiler._is_diagonal(g)
+                    movable = g.kind in compiler._DIAGONAL_KINDS
                 elif e.kind is GateKind.CNOT:
                     if q == e.qubits[0]:
-                        movable = compiler._is_diagonal(g)
+                        movable = g.kind in compiler._DIAGONAL_KINDS
                     else:
                         movable = compiler._commutes_with_x(g)
                 if movable:
@@ -181,7 +211,7 @@ def fuse_single_qubit_runs_oracle(gates, target):
         m = np.eye(2, dtype=np.complex128)
         for idx in run:
             m = compiler.gate_matrix(gates[idx]) @ m
-        synth = compiler._resynthesize(m, target, gates[run[0]].qubits[0])
+        synth = compiler._resynthesize(m, target, gates[run[0]].qubits)
         if len(synth) < len(run):
             replacements[run[0]] = synth
             dropped.update(run)
@@ -192,3 +222,42 @@ def fuse_single_qubit_runs_oracle(gates, target):
         elif idx not in dropped:
             out.append(g)
     return out
+
+
+def drop_zero_rotations_oracle(gates, target):
+    return [
+        g
+        for g in gates
+        if g.kind not in compiler._ROTATION_KINDS
+        or abs(compiler._wrap(g.angles[0])) > compiler.ZERO_ANGLE_TOL
+    ]
+
+
+ORACLE_PASSES = (
+    ("merge_rotations", merge_rotations_oracle),
+    ("cancel_inverse_pairs", cancel_inverse_pairs_oracle),
+    ("drop_zero_rotations", drop_zero_rotations_oracle),
+    ("commute_through_entanglers", commute_through_entanglers_oracle),
+    ("fuse_single_qubit_runs", fuse_single_qubit_runs_oracle),
+)
+
+
+def full_sweep_ds_compile(program, target):
+    """The reference for ``compiler.ds_compile``: the round-robin pass loop that
+    sweeps every gate with every pass oracle in every round, until a round
+    changes nothing.  Returns the compiled gate list and the ledger of the
+    passes that fired, as ``CompileReport.passes_applied`` holds it.
+    """
+    gates = compiler._lower_gates(program.gates, target, {})
+    applied = [("lower_generic", len(gates) - len(program.gates))]
+    for _ in range(compiler.MAX_PASS_ROUNDS):
+        changed = False
+        for name, oracle in ORACLE_PASSES:
+            out = oracle(gates, target)
+            if out != gates:
+                applied.append((name, len(out) - len(gates)))
+                changed = True
+            gates = out
+        if not changed:
+            return gates, tuple(applied)
+    raise compiler.CompileError("the reference loop reached no fixpoint")

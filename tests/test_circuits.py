@@ -21,12 +21,11 @@ from spinchain import (
     init_state,
     program_unitary,
     run_statevector,
-    unitary_equivalent,
 )
 from spinchain import circuits
 from spinchain.circuits import apply_matrix, evolve
 from spinchain.workflow import prepare_circuits
-from helpers import dense_gate_oracle, random_program
+from helpers import dense_gate_oracle, random_program, unitary_equivalent
 
 
 def test_kind_arity_tables():
@@ -212,6 +211,21 @@ def test_apply_matrix_rejects_qubits_out_of_order():
                     apply_matrix(amps, m, qubits)
                 assert np.array_equal(amps, before)
 
+
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_apply_matrix_rejects_qubits_outside_the_register(batch):
+    # with a batch axis, qubit 4 of a (16, 2) array would name that axis, and
+    # X on it would swap the two columns
+    rng = np.random.default_rng(8)
+    amps = rng.normal(size=(16, *batch)) + 1j * rng.normal(size=(16, *batch))
+    before = amps.copy()
+    for qubits in ((4,), (5,), (3, 4), (4, 0), (0, 2, 4), (1, 2, 3, 4)):
+        m = _random_unitary(rng, 1 << len(qubits))
+        with pytest.raises(GateError, match="exceed the register"):
+            apply_matrix(amps, m, qubits)
+        assert np.array_equal(amps, before)
+    apply_matrix(amps, _random_unitary(rng, 2), (3,))  # the last qubit is inside
+    assert not np.array_equal(amps, before)
 
 SINGLE_QUBIT_KINDS = tuple(k for k in GateKind if k.num_qubits == 1)
 

@@ -15,7 +15,6 @@ from spinchain import (
     GateKind,
     NativeTarget,
     Program,
-    RunConfig,
     compiler,
     lower_generic,
     make_gate,
@@ -26,6 +25,8 @@ from spinchain.workflow import prepare_circuits
 
 from helpers import (
     ALL_KINDS,
+    COMPILED_SAMPLED,
+    DENSE_KINDS,
     cancel_inverse_pairs_oracle,
     commute_through_entanglers_oracle,
     fuse_single_qubit_runs_oracle,
@@ -42,21 +43,6 @@ PASS_ORACLES = (
     (on_list(compiler._pass_cancel_inverse_pairs), cancel_inverse_pairs_oracle),
     (on_list(compiler._pass_commute_through_entanglers), commute_through_entanglers_oracle),
     (on_list(compiler._pass_fuse_single_qubit_runs), fuse_single_qubit_runs_oracle),
-)
-
-# kinds that make merges, cancellations and moves frequent
-DENSE_KINDS = (
-    GateKind.RZ, GateKind.RX, GateKind.U1, GateKind.U3, GateKind.H, GateKind.X,
-    GateKind.CZ, GateKind.CNOT,
-)
-
-# compiled_sampled in perfbench/workloads.py: a driven n=6 domain wall
-# compiled to Rigetti
-COMPILED_SAMPLED = RunConfig(
-    jx=1.0, jy=0.8, jz=0.5, h_ext=1.0, time_dep_flag=True, freq=0.25,
-    num_qubits=6, initial_spins=("up", "up", "up", "down", "down", "down"),
-    delta_t=0.05, steps=12, shots=4096, backend="rigetti",
-    compile_mode="domain_specific", seed=1,
 )
 
 
@@ -115,7 +101,7 @@ def test_links_next_touching_needs_one_node_on_every_wire():
     assert links.next_touching(0) == 2
     links.insert_after(1, 3)
     assert links.in_order() == [gates[0], gates[2], gates[3], gates[1]]
-    assert links.wire_after[3][1] == 1 and links.wire_before[1][1] == 3
+    assert links.wire_after[1][3] == 1 and links.wire_before[1][1] == 3
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -128,8 +114,8 @@ def test_shared_memo_gives_the_output_of_separate_compiles(target):
         alone, alone_report = compiler.ds_compile(program, target)
         assert shared.gates == alone.gates
         assert shared_report == alone_report
-    lowered, synthesized = memo[target]
-    assert lowered and synthesized
+    lowered, synthesized, matrices = memo[target]
+    assert lowered and synthesized and matrices
 
 
 def test_memo_keeps_signed_zero_angles_apart():

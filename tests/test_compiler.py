@@ -18,10 +18,9 @@ from spinchain import (
     lower_generic,
     make_gate,
     program_unitary,
-    unitary_equivalent,
 )
 from spinchain.compiler import CompileError, _rx_native, _wrap, _zyz_angles
-from helpers import on_list, random_program
+from helpers import on_list, random_program, unitary_equivalent
 
 _pass_cancel_inverse_pairs = on_list(compiler._pass_cancel_inverse_pairs)
 _pass_commute_through_entanglers = on_list(compiler._pass_commute_through_entanglers)

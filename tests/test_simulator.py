@@ -25,11 +25,10 @@ from spinchain import (
     run_statevector,
     sample_counts,
     simulate_series,
-    unitary_equivalent,
 )
 from spinchain import simulator
 from spinchain.workflow import build_plan, prepare_circuits
-from helpers import dense_gate_oracle, random_gate, random_program
+from helpers import dense_gate_oracle, random_gate, random_program, unitary_equivalent
 
 
 def test_init_state_bit_ordering():

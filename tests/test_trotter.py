@@ -20,7 +20,6 @@ from spinchain import (
     init_state,
     program_unitary,
     simulate_series,
-    unitary_equivalent,
 )
 from spinchain.config import ConfigError, parse_input_text, run_problems
 from spinchain.trotter import (
@@ -28,6 +27,7 @@ from spinchain.trotter import (
     field_evolution_gates,
     state_prep_gates,
 )
+from helpers import unitary_equivalent
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

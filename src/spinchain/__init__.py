@@ -52,7 +52,6 @@ from .simulator import (
     apply_gate,
     expectation_z,
     init_state,
-    magnetization_from_counts,
     run_noisy,
     run_statevector,
     sample_counts,
@@ -108,7 +107,6 @@ __all__ = [
     "init_state",
     "lower_generic",
     "emit_program",
-    "magnetization_from_counts",
     "make_gate",
     "parse_input_file",
     "parse_input_text",

@@ -544,7 +544,7 @@ def _equivalence(a: Program, b: Program) -> tuple[bool, float | None]:
         return False, None
     ua = program_unitary(a)
     ub = program_unitary(b)
-    fidelity = float(abs(np.trace(ua.conj().T @ ub)) / ua.shape[0])
+    fidelity = float(abs(np.vdot(ua, ub)) / ua.shape[0])  # |tr(a^dagger b)| / 2^n
     return True, fidelity
 
 

@@ -4,16 +4,19 @@ Basis-state indexing matches the IR convention: qubit 0 is the leftmost
 character of a bitstring, i.e. the most significant bit of the state index,
 and spin-up is |0>.  All randomness flows through numpy's default PCG64
 generator seeded explicitly, so identical seeds give identical outputs.  A
-series draws each circuit's samples from its own stream, spawned from the
-run seed, so no two circuits or seeds share one.
+sampled series draws each circuit's samples from its own stream, spawned from
+the run seed, so no two circuits or seeds share one; a noisy series draws its
+trajectories from one generator on the run seed.
 
-Exact runs use ``circuits.evolve`` (gates fused into blocks on ranges of up to
-four qubits, each applied in place by one matmul on a reshaped view, a repeated
-step replayed from its recorded blocks); noisy ones apply each gate and Pauli in
-place, through the same kernel, which gathers any qubit set that is not a
-range.  Every site's <sigma^z> comes from one pairwise-halving pass over the
-probabilities, which ``simulate_series`` and ``expectation_z`` share, so the two
-agree bit for bit.  Each returned ``StateVector`` is checked once.
+Every mode moves a state only through ``circuits.evolve`` (gates fused into
+blocks on ranges of up to four qubits, each applied in place by one matmul on
+a reshaped view, a repeated step replayed from its recorded blocks), which
+runs the series program once and snapshots it at every step mark.  A noisy
+shot is the program with its drawn Paulis spliced in, run the same way.
+Every site's <sigma^z> comes from one pairwise-halving pass, over the
+probabilities in exact mode and over the shot counts in sampled and noisy
+mode; ``simulate_series`` and ``expectation_z`` share it, so the two agree
+bit for bit.  Each returned ``StateVector`` is checked once.
 """
 
 from __future__ import annotations
@@ -84,54 +87,36 @@ def run_statevector(program: Program, initial_spins: Sequence[str] | None = None
     return StateVector(program.num_qubits, final)
 
 
-def _check_qubit(qubit: int, n: int) -> None:
-    if not 0 <= qubit < n:
-        raise SimulationError(f"qubit {qubit} out of range for {n} qubits")
-
-
-def _z_expectations(probs: np.ndarray) -> list[float]:
-    # every qubit's <sigma^z> from the basis-state probabilities, which it
-    # overwrites: the high half of probs has the first qubit down, and adding
-    # it onto the low half leaves the distribution of the qubits after it, so
-    # all n values take O(2^n) in total
+def _z_expectations(weights: np.ndarray, total=1.0) -> list[float]:
+    # every qubit's <sigma^z> from the basis-state probabilities, or from shot
+    # counts that sum to total, which it overwrites: the high half of weights
+    # has the first qubit down, and adding it onto the low half leaves the
+    # weights of the qubits after it, so all n values take O(2^n) in total;
+    # on counts each value is the exact (shots - 2 down) / shots
     values = []
-    while len(probs) > 1:
-        low, high = probs.reshape(2, -1)
-        values.append(1.0 - 2.0 * float(high.sum()))
-        probs = np.add(low, high, out=low)
+    while len(weights) > 1:
+        low, high = weights.reshape(2, -1)
+        values.append((total - 2 * high.sum().item()) / total)
+        weights = np.add(low, high, out=low)
     return values
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<sigma^z> on one qubit: +1 for |0> (spin-up), -1 for |1>."""
-    _check_qubit(qubit, state.num_qubits)
+    if not 0 <= qubit < state.num_qubits:
+        raise SimulationError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
     return _z_expectations(np.abs(state.amplitudes) ** 2)[qubit]
 
 
 def sample_counts(
     state: StateVector, shots: int, seed: int | np.random.SeedSequence
-) -> dict[str, int]:
-    """Multinomial z-basis measurement counts, keyed by bitstring."""
+) -> np.ndarray:
+    """Multinomial z-basis measurement counts, indexed by basis state."""
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    return {
-        format(i, f"0{n}b"): int(c) for i, c in enumerate(drawn) if c > 0
-    }
-
-
-def magnetization_from_counts(counts: dict[str, int], qubit: int) -> float:
-    """Estimator (n_up - n_down) / shots for one qubit from sampled counts."""
-    shots = sum(counts.values())
-    if shots < 1:
-        raise SimulationError("counts are empty")
-    _check_qubit(qubit, len(next(iter(counts))))
-    up = sum(c for bits, c in counts.items() if bits[qubit] == "0")
-    return (up - (shots - up)) / shots
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,48 +138,51 @@ class NoiseParams:
                 raise SimulationError(f"{name} must be in [0, 1], got {p}")
 
 
-_PAULIS = tuple(gate_matrix(make_gate(kind, [0])) for kind in "xyz")
-
-
 def run_noisy(
     program: Program,
-    initial_spins: Sequence[str] | None,
+    marks: Sequence[int],
     shots: int,
     noise: NoiseParams,
     seed: int | np.random.SeedSequence,
-) -> dict[str, int]:
-    """Monte Carlo Pauli-noise sampling: one trajectory per shot.
+) -> np.ndarray:
+    """Monte Carlo Pauli-noise sampling: one trajectory per shot, read at every mark.
 
-    Draw order is fixed (per gate in program order, per touched qubit in gate
-    order, then one measurement draw per shot), so results are reproducible
-    for a given seed.  With p1 = p2 = 0 this reduces exactly to
-    ``sample_counts`` of the noiseless final state under the same seed.
+    Returns ``counts[i, b]``, how many shots measured basis state b after the
+    first ``marks[i]`` gates; each row sums to ``shots``.  Each shot starts
+    from |0...0> and draws from one generator on ``seed``, in this order: one
+    uniform per (gate, touched qubit) in program order, a hit when below p1
+    (single-qubit gate) or p2; one Pauli (X, Y or Z) per hit; one uniform per
+    mark.  The hit Paulis are spliced in after their gates, the shot runs once
+    through ``evolve`` with the marks shifted by the splices before them, and
+    each snapshot is measured by inverse CDF with its mark's uniform.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    if noise.p1 == 0.0 and noise.p2 == 0.0:
-        return sample_counts(run_statevector(program, initial_spins), shots, seed)
+    n, gates, marks = program.num_qubits, program.gates, np.asarray(marks, dtype=np.intp)
+    # per (gate, touched qubit): the gate's index, the qubit, its error probability
+    owner = np.array([i for i, g in enumerate(gates) for _ in g.qubits], dtype=np.intp)
+    touched = [q for g in gates for q in g.qubits]
+    p = np.array([noise.p1 if len(g.qubits) == 1 else noise.p2 for g in gates for _ in g.qubits])
+    paulis = [[make_gate(kind, [q]) for kind in "xyz"] for q in range(n)]
+    initial = init_state(n).amplitudes
+    counts = np.zeros((len(marks), len(initial)), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    n = program.num_qubits
-    initial = init_state(n, initial_spins).amplitudes
-    gates = [  # each gate's qubits, matrix and error probability, taken once
-        (g.qubits, gate_matrix(g), noise.p1 if len(g.qubits) == 1 else noise.p2)
-        for g in program.gates
-    ]
-    work = np.empty((3, initial.size // 2), initial.dtype)
-    counts: dict[str, int] = {}
-    dim = 1 << n
     for _ in range(shots):
-        amps = initial.copy()
-        for qubits, matrix, p in gates:
-            apply_matrix(amps, matrix, qubits, work)
-            for q in qubits:
-                if rng.random() < p:
-                    apply_matrix(amps, _PAULIS[rng.integers(3)], (q,), work)
-        probs = np.abs(amps) ** 2
-        outcome = int(rng.choice(dim, p=probs / probs.sum()))
-        bits = format(outcome, f"0{n}b")
-        counts[bits] = counts.get(bits, 0) + 1
+        hits = np.flatnonzero(rng.random(len(p)) < p)
+        kinds = rng.integers(3, size=len(hits))
+        draws = rng.random(len(marks))
+        spliced, start = [], 0
+        for h, kind in zip(hits.tolist(), kinds.tolist()):
+            stop = owner[h] + 1
+            spliced += gates[start:stop]
+            spliced.append(paulis[touched[h]][kind])
+            start = stop
+        spliced += gates[start:]
+        shifted = marks + np.searchsorted(owner[hits], marks)  # hits on gates before each mark
+        snapshots = evolve(initial.copy(), spliced, shifted.tolist())
+        for row, snapshot, u in zip(counts, snapshots, draws):
+            cdf = np.cumsum(np.abs(snapshot) ** 2)
+            row[min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)] += 1
     return counts
 
 
@@ -222,53 +210,43 @@ class MagnetizationSeries:
         return len(self.values)
 
 
-def _series_states(series: "CircuitSeries"):
-    """Yield the state after each circuit of the series.
-
-    Circuit k is a prefix of the series program, so the program runs once
-    from |0...0> and the state is snapshotted at every step mark.  A step
-    that repeats a segment's gates from the same fuser state is replayed.
-    """
-    n = series.program.num_qubits
-    amps = init_state(n).amplitudes
-    for snapshot in evolve(amps, series.program.gates, series.step_ends):
-        yield StateVector(n, snapshot)
-
-
 def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> MagnetizationSeries:
     """Run every circuit of a circuit series and collect magnetizations.
 
     The series program already contains the state-preparation gates, so
-    execution always starts from the all-zero state.
+    execution always starts from the all-zero state.  Circuit k is the prefix
+    of the program up to mark k, so the program runs once and the state is
+    read at every mark; a step that repeats a segment's gates from the same
+    fuser state is replayed.
 
-    plan.shots == 0 selects exact expectation values; otherwise each circuit
-    is sampled with ``plan.shots`` shots (with Pauli noise when plan.noise is
-    set), circuit k from the k-th stream that ``SeedSequence(plan.seed)``
-    spawns.  Noisy trajectories run each circuit on its own, from the start.
+    plan.shots == 0 selects exact expectation values.  Otherwise each circuit
+    is sampled with ``plan.shots`` shots, circuit k from the k-th stream that
+    ``SeedSequence(plan.seed)`` spawns; with Pauli noise of nonzero strength
+    in plan.noise, ``run_noisy`` instead draws ``plan.shots`` trajectories
+    from one generator on ``SeedSequence(plan.seed)``, each read at every
+    mark.  Zero noise is plain sampling.
     """
-    n = plan.num_qubits
-    rows: list[list[float]] = [[] for _ in range(n)]
-    times: list[float] = []
-    streams = np.random.SeedSequence(plan.seed).spawn(len(series)) if plan.shots else None
-    if plan.noise is not None and plan.shots > 0:
-        for index, program in enumerate(series):
-            times.append(index * plan.delta_t)
-            counts = run_noisy(program, None, plan.shots, plan.noise, streams[index])
-            for q in range(n):
-                rows[q].append(magnetization_from_counts(counts, q))
+    marks = series.step_ends
+    noise = plan.noise
+    if plan.shots and noise is not None and (noise.p1 or noise.p2):
+        counts = run_noisy(series.program, marks, plan.shots, noise, plan.seed)
+        columns = [_z_expectations(row, plan.shots) for row in counts]
     else:
-        for index, state in enumerate(_series_states(series)):
-            times.append(index * plan.delta_t)
+        n = series.program.num_qubits
+        streams = np.random.SeedSequence(plan.seed).spawn(len(marks)) if plan.shots else None
+        columns = []
+        snapshots = evolve(init_state(n).amplitudes, series.program.gates, marks)
+        for index, amps in enumerate(snapshots):
+            state = StateVector(n, amps)
             if plan.shots == 0:
                 probs = np.abs(state.amplitudes)
                 probs *= probs  # in place: one state-sized temporary fewer at the peak
-                for row, value in zip(rows, _z_expectations(probs)):
-                    row.append(value)
+                columns.append(_z_expectations(probs))
             else:
                 counts = sample_counts(state, plan.shots, streams[index])
-                for q in range(n):
-                    rows[q].append(magnetization_from_counts(counts, q))
-            state = probs = None  # free them before the next snapshot
+                columns.append(_z_expectations(counts, plan.shots))
+            amps = state = probs = counts = None  # free them before the next snapshot
     return MagnetizationSeries(
-        times=tuple(times), values=tuple(tuple(row) for row in rows)
+        times=tuple(k * plan.delta_t for k in range(len(marks))),
+        values=tuple(zip(*columns)),
     )

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from spinchain import GateError, GateKind, Program, RunConfig, compiler, make_gate
+from spinchain import GateError, GateKind, Program, RunConfig, compiler, gate_matrix, make_gate
 
 ALL_KINDS = tuple(GateKind)
 
@@ -65,6 +65,92 @@ def dense_gate_oracle(matrix: np.ndarray, qubits, num_qubits: int) -> np.ndarray
                 row = (row & ~(1 << shift)) | (bit << shift)
             out[row, col] += matrix[out_bits, in_bits]
     return out
+
+
+def counts_dict_oracle(state, shots: int, seed) -> dict[str, int]:
+    """The same multinomial draw as ``sample_counts``, keyed by bitstring."""
+    probs = np.abs(state.amplitudes) ** 2
+    drawn = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    n = state.num_qubits
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(drawn) if c > 0}
+
+
+def magnetization_from_counts_oracle(counts: dict[str, int], qubit: int) -> float:
+    """(n_up - n_down) / shots for one qubit, counted over bitstrings."""
+    shots = sum(counts.values())
+    up = sum(c for bits, c in counts.items() if bits[qubit] == "0")
+    return (up - (shots - up)) / shots
+
+
+# X, Y, Z written out, not taken from the gate table
+PAULI_MATRICES = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def pauli_channel_reference(program: Program, marks, p1: float, p2: float) -> np.ndarray:
+    """<sigma^z> per mark and site under Pauli noise, by density matrix.
+
+    After each gate, each touched qubit's state goes through
+    rho -> (1 - p) rho + (p/3) sum_P P rho P, with p = p1 for single-qubit
+    gates and p2 for two-qubit gates.  Gates and Paulis are dense operators
+    from ``dense_gate_oracle``; the register starts in |0...0>.
+    """
+    n = program.num_qubits
+    dim = 1 << n
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    paulis = [[dense_gate_oracle(m, (q,), n) for m in PAULI_MATRICES] for q in range(n)]
+    signs = 1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    values, done = [], 0
+    for mark in marks:
+        for gate in program.gates[done:mark]:
+            u = dense_gate_oracle(gate_matrix(gate), gate.qubits, n)
+            rho = u @ rho @ u.conj().T
+            p = p1 if len(gate.qubits) == 1 else p2
+            for q in gate.qubits:
+                rho = (1 - p) * rho + (p / 3) * sum(m @ rho @ m for m in paulis[q])
+        done = max(done, mark)
+        values.append(rho.diagonal().real @ signs)
+    return np.array(values)
+
+
+def noisy_trajectory_oracle(program: Program, marks, shots: int, p1: float, p2: float, seed):
+    """``run_noisy``'s counts, replayed gate by gate with dense operators.
+
+    Each shot takes the draws in the documented order: a uniform per (gate,
+    touched qubit), a hit when below p1 or p2; a Pauli index (X, Y, Z) per
+    hit; a uniform per mark.  A hit Pauli acts right after its gate, and a
+    mark's outcome is the first basis state whose cumulative probability
+    exceeds its uniform times the total.
+    """
+    n = program.num_qubits
+    dense = [dense_gate_oracle(gate_matrix(g), g.qubits, n) for g in program.gates]
+    paulis = [[dense_gate_oracle(m, (q,), n) for m in PAULI_MATRICES] for q in range(n)]
+    touched = [(i, q, p1 if len(g.qubits) == 1 else p2)
+               for i, g in enumerate(program.gates) for q in g.qubits]
+    counts = np.zeros((len(marks), 1 << n), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for _ in range(shots):
+        hit = [(i, q) for (i, q, p), u in zip(touched, rng.random(len(touched))) if u < p]
+        errors = {}
+        for (i, q), kind in zip(hit, rng.integers(3, size=len(hit))):
+            errors.setdefault(i, []).append(paulis[q][kind])
+        draws = rng.random(len(marks))
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0] = 1.0
+        done = 0
+        for k, mark in enumerate(marks):
+            for i in range(done, mark):
+                psi = dense[i] @ psi
+                for pauli in errors.get(i, ()):
+                    psi = pauli @ psi
+            done = max(done, mark)
+            cumulative = np.cumsum(np.abs(psi) ** 2)
+            counts[k, next(b for b, c in enumerate(cumulative) if c > draws[k] * cumulative[-1])] += 1
+    return counts
 
 
 def on_list(pass_fn):

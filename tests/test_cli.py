@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,19 @@ def input_file(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text(TFIM_INPUT)
     return str(path)
+
+
+SAMPLES = sorted((Path(__file__).resolve().parents[1] / "sample_inputs").glob("*.txt"))
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda path: path.stem)
+def test_every_sample_input_runs_and_emits(tmp_path, sample):
+    assert main(["run", str(sample), "--output-dir", str(tmp_path / "out")]) == 0
+    for path in sorted((tmp_path / "out" / "data").glob("qubit_*_magnetization.csv")):
+        rows = path.read_text().splitlines()[1:]
+        assert rows and all(-1.0 <= float(row.split(",")[1]) <= 1.0 for row in rows)
+    for dialect in ("qasm", "quil"):
+        assert main(["emit", "--dialect", dialect, str(sample), str(tmp_path / dialect)]) == 0
 
 
 def test_run_success(tmp_path, input_file, capsys):

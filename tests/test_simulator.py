@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from spinchain import (
     gate_matrix,
     generate_circuits,
     init_state,
-    magnetization_from_counts,
     make_gate,
     program_unitary,
     run_noisy,
@@ -28,7 +28,16 @@ from spinchain import (
 )
 from spinchain import simulator
 from spinchain.workflow import build_plan, prepare_circuits
-from helpers import dense_gate_oracle, random_gate, random_program, unitary_equivalent
+from helpers import (
+    counts_dict_oracle,
+    dense_gate_oracle,
+    magnetization_from_counts_oracle,
+    noisy_trajectory_oracle,
+    pauli_channel_reference,
+    random_gate,
+    random_program,
+    unitary_equivalent,
+)
 
 
 def test_init_state_bit_ordering():
@@ -125,60 +134,156 @@ def test_sample_counts_deterministic_and_complete():
     state = apply_gate(init_state(2), make_gate("h", [0]))
     counts = sample_counts(state, 4096, seed=9)
     again = sample_counts(state, 4096, seed=9)
-    assert counts == again
-    assert sum(counts.values()) == 4096
-    assert set(counts) <= {"00", "10"}
+    assert np.array_equal(counts, again)
+    assert counts.shape == (4,) and counts.sum() == 4096
+    assert set(np.flatnonzero(counts)) <= {0b00, 0b10}
     # H|0> splits evenly; 4096 shots puts both well inside 5 sigma of half
-    assert abs(counts["00"] - 2048) < 320
+    assert abs(counts[0b00] - 2048) < 320
     with pytest.raises(SimulationError):
         sample_counts(state, 0, seed=1)
 
 
 def test_magnetization_from_counts():
-    counts = {"00": 3, "10": 1}
-    assert magnetization_from_counts(counts, 0) == pytest.approx(0.5)
-    assert magnetization_from_counts(counts, 1) == pytest.approx(1.0)
+    # the counts {"00": 3, "10": 1}, indexed by basis state
+    counts = np.array([3, 0, 1, 0])
+    assert simulator._z_expectations(counts, 4) == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("qubit", [-1, 2, 5])
-def test_magnetization_from_counts_rejects_qubit_outside_register(qubit):
+def test_expectation_z_rejects_qubit_outside_register(qubit):
     with pytest.raises(SimulationError, match=f"qubit {qubit} out of range for 2 qubits"):
-        magnetization_from_counts({"01": 3, "11": 1}, qubit)
+        expectation_z(init_state(2, ["up", "down"]), qubit)
 
 
-def test_run_noisy_zero_noise_matches_plain_sampling():
-    rng = np.random.default_rng(40)
-    prog = random_program(rng, 3, 10)
-    plain = sample_counts(run_statevector(prog), 500, seed=7)
-    noisy = run_noisy(prog, None, 500, NoiseParams(p1=0.0, p2=0.0), seed=7)
-    assert plain == noisy
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sampled_values_equal_the_bitstring_count_oracle(n):
+    rng = np.random.default_rng(80 + n)
+    for shots in (1, 2, 4096):
+        for seed in range(3):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            counts = sample_counts(state, shots, seed)
+            oracle = counts_dict_oracle(state, shots, seed)
+            assert {format(i, f"0{n}b"): c for i, c in enumerate(counts) if c} == oracle
+            expected = [magnetization_from_counts_oracle(oracle, q) for q in range(n)]
+            assert simulator._z_expectations(counts, shots) == expected
 
 
-def test_run_noisy_is_seeded_and_conserves_shots():
-    prog = Program(
+def test_zero_noise_series_matches_plain_sampling():
+    circuits, _ = _tiny_series()
+    sampled = SimulationPlan(
+        num_qubits=2, initial_spins=["up", "down"], delta_t=0.1, steps=4, shots=500, seed=7
+    )
+    noiseless = replace(sampled, noise=NoiseParams(p1=0.0, p2=0.0))
+    assert simulate_series(circuits, noiseless) == simulate_series(circuits, sampled)
+
+
+def _two_qubit_program():
+    return Program(
         2,
         tuple(
             make_gate("h", [0]) if i % 3 == 0 else make_gate("cnot", [0, 1])
             for i in range(9)
         ),
     )
+
+
+def test_run_noisy_is_seeded_and_conserves_shots():
+    prog = _two_qubit_program()
     noise = NoiseParams(p1=0.05, p2=0.1)
-    a = run_noisy(prog, None, 400, noise, seed=5)
-    b = run_noisy(prog, None, 400, noise, seed=5)
-    c = run_noisy(prog, None, 400, noise, seed=6)
-    assert a == b
-    assert sum(a.values()) == 400
-    assert a != c
+    marks = [0, 4, 9]
+    a = run_noisy(prog, marks, 400, noise, seed=5)
+    b = run_noisy(prog, marks, 400, noise, seed=5)
+    c = run_noisy(prog, marks, 400, noise, seed=6)
+    assert np.array_equal(a, b)
+    assert a.shape == (3, 4)
+    assert list(a.sum(axis=1)) == [400, 400, 400]
+    assert a[0, 0] == 400  # no gate yet, so no noise
+    assert not np.array_equal(a, c)
 
 
 def test_noise_perturbs_an_ideal_identity_circuit():
     # X twice is the identity; with noise the |00> count must drop
     gates = tuple(make_gate("x", [0]) for _ in range(20))
     prog = Program(2, gates)
-    ideal = run_noisy(prog, None, 300, NoiseParams(p1=0.0, p2=0.0), seed=3)
-    assert ideal == {"00": 300}
-    noisy = run_noisy(prog, None, 300, NoiseParams(p1=0.2, p2=0.2), seed=3)
-    assert noisy.get("00", 0) < 300
+    marks = [0, 10, 20]
+    ideal = run_noisy(prog, marks, 300, NoiseParams(p1=0.0, p2=0.0), seed=3)
+    assert list(ideal[:, 0b00]) == [300, 300, 300]
+    noisy = run_noisy(prog, marks, 300, NoiseParams(p1=0.2, p2=0.2), seed=3)
+    assert noisy[0, 0b00] == 300
+    assert noisy[1, 0b00] < 300 and noisy[2, 0b00] < 300
+
+
+def test_run_noisy_edge_cases():
+    noise = NoiseParams(p1=0.3, p2=0.3)
+    # no gates: every mark reads |0...0>
+    empty = run_noisy(Program(3), [0, 0], 50, noise, seed=1)
+    assert empty.shape == (2, 8) and list(empty[:, 0]) == [50, 50]
+    # one qubit: X flips it, the noise only sometimes
+    flip = Program(1, (make_gate("x", [0]),))
+    one = run_noisy(flip, [0, 1], 200, noise, seed=2)
+    assert list(one[0]) == [200, 0]
+    assert 0 < one[1, 0] < 200 and one[1].sum() == 200
+    # no marks, and repeated marks, each measured with its own draw
+    prog = _two_qubit_program()
+    assert run_noisy(prog, [], 10, noise, seed=3).shape == (0, 4)
+    repeated = run_noisy(prog, [4, 4, 9, 9, 9], 300, noise, seed=3)
+    assert list(repeated.sum(axis=1)) == [300] * 5
+    assert not np.array_equal(repeated[2], repeated[3])
+    with pytest.raises(SimulationError):
+        run_noisy(prog, [9], 0, noise, seed=3)
+
+
+@pytest.mark.parametrize("noise", [NoiseParams(p1=0.1, p2=0.3), NoiseParams(p1=0.3, p2=0.0)])
+def test_run_noisy_equals_a_dense_replay_of_its_draws(noise):
+    # exact counts: a Pauli spliced before its gate, on the wrong qubit or at
+    # the wrong mark changes some shot's outcome
+    config = replace(NOISY_CHAIN, num_qubits=3, initial_spins=("up", "down", "up"), steps=2)
+    circuits, _ = prepare_circuits(config)
+    marks = sorted([*circuits.step_ends, circuits.step_ends[1]])
+    counts = run_noisy(circuits.program, marks, 300, noise, seed=8)
+    oracle = noisy_trajectory_oracle(circuits.program, marks, 300, noise.p1, noise.p2, seed=8)
+    assert np.array_equal(counts, oracle)
+
+
+def test_noisy_series_with_no_steps_reads_the_prepared_state():
+    config = RunConfig(
+        jx=1.0, num_qubits=3, initial_spins=("up", "down", "down"), steps=0,
+        shots=100, noise_choice=True,
+    )
+    circuits, _ = prepare_circuits(config)
+    plan = replace(build_plan(config), noise=NoiseParams(p1=0.0, p2=0.0))
+    assert simulate_series(circuits, plan).values == ((1.0,), (-1.0,), (-1.0,))
+    noisy = simulate_series(circuits, replace(plan, noise=NoiseParams(p1=0.5, p2=0.5)))
+    assert noisy.times == (0.0,)
+    assert noisy.values[0] == (1.0,)  # no gate touches qubit 0
+    assert noisy.values[1][0] > -1.0 and noisy.values[2][0] > -1.0
+
+
+NOISY_CHAIN = RunConfig(
+    jx=1.0, jy=0.6, jz=0.2, h_ext=0.5, num_qubits=4,
+    initial_spins=("up", "up", "down", "down"), delta_t=0.5, steps=3,
+    shots=4000, noise_choice=True, seed=4,
+)
+
+
+def test_noisy_series_matches_the_density_matrix_reference():
+    noise = NoiseParams(p1=0.02, p2=0.05)
+    circuits, _ = prepare_circuits(NOISY_CHAIN)
+    plan = replace(build_plan(NOISY_CHAIN), noise=noise)
+    estimate = np.array(simulate_series(circuits, plan).values).T  # [mark, site]
+    # each value is a mean of shots +-1 outcomes; Hoeffding's bound on all
+    # of them together fails with probability at most 1e-6
+    eps = math.sqrt(2 * math.log(2 * estimate.size / 1e-6) / plan.shots)
+    marks = circuits.step_ends
+    reference = pauli_channel_reference(circuits.program, marks, noise.p1, noise.p2)
+    assert np.max(np.abs(estimate - reference)) <= eps
+    # the same bound rejects the noiseless dynamics and the Jx <-> Jz swapped chain
+    noiseless = pauli_channel_reference(circuits.program, marks, 0.0, 0.0)
+    assert np.max(np.abs(estimate - noiseless)) > eps
+    swapped, _ = prepare_circuits(replace(NOISY_CHAIN, jx=NOISY_CHAIN.jz, jz=NOISY_CHAIN.jx))
+    control = pauli_channel_reference(swapped.program, swapped.step_ends, noise.p1, noise.p2)
+    assert np.max(np.abs(estimate - control)) > eps
 
 
 def test_noise_params_validation():

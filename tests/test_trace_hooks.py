@@ -43,7 +43,9 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
         tracer.close()
     assert spinchain.workflow.simulate_series is original
     names = {span[0] for _, span in tracer.op_spans(0)}
-    assert {"cli.main", "trotter.generate", "simulator.simulate", "plotting.render"} <= names
+    assert {
+        "cli.main", "trotter.generate", "simulator.simulate", "simulator.sample", "plotting.render",
+    } <= names
     assert tracer.counts[0]["simulator.num_qubits"] == 2
 
 

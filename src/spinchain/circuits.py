@@ -9,7 +9,8 @@ normalization happens in compiler passes, never here.
 One in-place kernel, ``apply_matrix``, applies gates: one matmul on a
 reshaped view when the qubits form a range, and a gather into a spare buffer
 for any other set.  ``evolve`` folds gates into blocks on ranges of up to four
-qubits, one open block at a time, for the simulator and ``program_unitary``.
+qubits, one open block at a time, for the simulator, the compiler's
+equivalence check and ``program_unitary``.
 """
 
 from __future__ import annotations
@@ -173,21 +174,24 @@ class Program:
         return program
 
 
+_FIXED_MATRICES = {
+    GateKind.H: np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=np.complex128),
+    GateKind.CNOT: np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]],
+    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(np.complex128),
+}
+
+
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of one gate (2x2, or 4x4 with qubits[0] as the high bit)."""
     k = gate.kind
-    if k is GateKind.H:
-        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-    if k is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if k is GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    if k is GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=np.complex128)
-    if k is GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-    if k is GateKind.SDG:
-        return np.array([[1, 0], [0, -1j]], dtype=np.complex128)
+    fixed = _FIXED_MATRICES.get(k)
+    if fixed is not None:
+        return fixed.copy()
     if k is GateKind.RX:
         (t,) = gate.angles
         c, s = math.cos(t / 2), math.sin(t / 2)
@@ -223,13 +227,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
             ],
             dtype=np.complex128,
         )
-    if k is GateKind.CNOT:
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-            dtype=np.complex128,
-        )
-    if k is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(np.complex128)
     raise GateError(f"no matrix for gate kind {k!r}")
 
 
@@ -315,7 +312,7 @@ def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.nd
     return np.concatenate((m.ravel(), _ZERO))[_spread(len(on), tuple(map(on.index, qubits)))]
 
 
-def evolve(amps: np.ndarray, gates, marks=()):
+def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
     """Apply ``gates`` to ``amps`` in place and, for each of the non-decreasing
     ``marks``, yield the array after the first ``mark`` gates (a copy, or
     ``amps`` itself after the last gate).
@@ -335,19 +332,26 @@ def evolve(amps: np.ndarray, gates, marks=()):
     The fold records the blocks it applies between two marks.  A later stretch
     of the same gate objects that starts from the same open set, block bytes
     and waiting bytes replays those blocks instead, so a repeated Trotter step
-    costs its state passes and no per-gate work.
+    costs its state passes and no per-gate work.  ``memo`` is a dict that
+    keeps the lifted matrices and these records from one call to the next
+    (None: a fresh one).  Blocks do not depend on ``amps``, so a record made
+    on one state replays bit for bit on any other of the same width; a record
+    keeps its gates alive, so their ids stay unique while the memo lives.
     """
     marks = list(marks)
     if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
         raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
-    # a block holds at most 4 qubits, and fewer than the register's n once n >= 3
-    limit = min(4, max(2, len(amps).bit_length() - 2))
+    n = len(amps).bit_length() - 1
+    limit = min(4, max(2, n - 1))  # a block holds at most 4 qubits, and fewer than n once n >= 3
     work = np.empty((3, amps.size // 2), amps.dtype)
-    lifted: dict = {}
+    memo = {} if memo is None else memo
+    lifted: dict = memo.setdefault("lifted", {})
+    # (width, stretch gate ids, entry state) -> (blocks applied, exit state, the
+    # stretch, kept so that its gates, and so the ids in the key, stay alive)
+    replays: dict = memo.setdefault("replays", {})
 
     def lift(gate: Gate, on: tuple[int, ...]) -> np.ndarray:
-        # the gate's matrix on on (its own qubits, or an ascending superset);
-        # not recursive, so no reference cycle keeps lifted alive after the call
+        # the gate's matrix on on (its own qubits, or an ascending superset)
         m = lifted.get((gate, on))
         if m is None:
             qubits = gate.qubits
@@ -375,16 +379,13 @@ def evolve(amps: np.ndarray, gates, marks=()):
         for on in map(tuple, ranges):
             apply_matrix(target, functools.reduce(_kron, map(waiting.get, on)), on, work)
 
-    # (stretch gate ids, entry state) -> (blocks applied, exit state, the stretch,
-    # kept so that its gates, and so the ids in the key, stay alive)
-    replays: dict = {}
     inner = [m for m in marks if m < len(gates)]
     start = 0
     for stop in [*inner, len(gates)]:
         if stop > start:
             stretch = gates[start:stop]
             key = (
-                tuple(map(id, stretch)), held, block.tobytes(),
+                n, tuple(map(id, stretch)), held, block.tobytes(),
                 tuple((q, m.tobytes()) for q, m in sorted(waiting.items())),
             )
             if key in replays:
@@ -419,6 +420,7 @@ def evolve(amps: np.ndarray, gates, marks=()):
             snapshot = amps.copy()
             flush(snapshot)
             yield snapshot
+            del snapshot  # only the caller holds it while the next stretch runs
     flush(amps)
     for _ in marks[len(inner):]:  # these all equal len(gates)
         yield amps

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 
 from .circuits import Gate, GateKind, Program, make_gate
@@ -39,7 +40,7 @@ def _fail(line_no: int, message: str) -> "ParseError":
 # ---------------------------------------------------------------------------
 # Angle expressions.  Both dialects accept arithmetic over numbers and pi.
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 def _eval_node(node: ast.AST) -> float:
@@ -50,16 +51,8 @@ def _eval_node(node: ast.AST) -> float:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         operand = _eval_node(node.operand)
         return -operand if isinstance(node.op, ast.USub) else operand
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _eval_node(node.left)
-        right = _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return _BINOPS[type(node.op)](_eval_node(node.left), _eval_node(node.right))
     raise ValueError("unsupported expression element")
 
 
@@ -98,22 +91,7 @@ def _make_gate_checked(kind: GateKind, qubits, angles, line_no: int) -> Gate:
 # ---------------------------------------------------------------------------
 # OpenQASM 2.0
 
-_QASM_NAMES = {
-    "h": GateKind.H,
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "u1": GateKind.U1,
-    "u2": GateKind.U2,
-    "u3": GateKind.U3,
-    "cx": GateKind.CNOT,
-    "cz": GateKind.CZ,
-}
+_QASM_NAMES = {"cx" if k is GateKind.CNOT else k.value: k for k in GateKind}
 _QASM_EMIT_NAMES = {kind: name for name, kind in _QASM_NAMES.items()}
 
 _QASM_GATE_RE = re.compile(
@@ -224,20 +202,9 @@ def parse_qasm(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # Quil
 
+# every kind under its upper-case name, but U1 as PHASE and SDG as DAGGER S
 _QUIL_NAMES = {
-    "H": GateKind.H,
-    "X": GateKind.X,
-    "Y": GateKind.Y,
-    "Z": GateKind.Z,
-    "S": GateKind.S,
-    "RX": GateKind.RX,
-    "RY": GateKind.RY,
-    "RZ": GateKind.RZ,
-    "PHASE": GateKind.U1,
-    "U2": GateKind.U2,
-    "U3": GateKind.U3,
-    "CNOT": GateKind.CNOT,
-    "CZ": GateKind.CZ,
+    "PHASE" if k is GateKind.U1 else k.value.upper(): k for k in GateKind if k is not GateKind.SDG
 }
 _QUIL_EMIT_NAMES = {kind: name for name, kind in _QUIL_NAMES.items()}
 _QUIL_EMIT_NAMES[GateKind.SDG] = "DAGGER S"
@@ -327,19 +294,19 @@ _PARSERS = {"qasm": parse_qasm, "quil": parse_quil}
 _EXTENSIONS = {"qasm": ".qasm", "quil": ".quil"}
 
 
-def emit_program(program: Program, dialect: str, include_measurements: bool = True) -> str:
-    if dialect not in _EMITTERS:
+def _for_dialect(table: dict, dialect: str):
+    if dialect not in table:
         raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    return _EMITTERS[dialect](program, include_measurements)
+    return table[dialect]
+
+
+def emit_program(program: Program, dialect: str, include_measurements: bool = True) -> str:
+    return _for_dialect(_EMITTERS, dialect)(program, include_measurements)
 
 
 def parse_program(text: str, dialect: str) -> Program:
-    if dialect not in _PARSERS:
-        raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    return _PARSERS[dialect](text)
+    return _for_dialect(_PARSERS, dialect)(text)
 
 
 def dialect_extension(dialect: str) -> str:
-    if dialect not in _EXTENSIONS:
-        raise ValueError(f"unknown dialect {dialect!r}; expected one of {DIALECTS}")
-    return _EXTENSIONS[dialect]
+    return _for_dialect(_EXTENSIONS, dialect)

@@ -210,14 +210,18 @@ class MagnetizationSeries:
         return len(self.values)
 
 
-def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> MagnetizationSeries:
+def simulate_series(
+    series: "CircuitSeries", plan: "SimulationPlan", *, memo: dict | None = None
+) -> MagnetizationSeries:
     """Run every circuit of a circuit series and collect magnetizations.
 
     The series program already contains the state-preparation gates, so
     execution always starts from the all-zero state.  Circuit k is the prefix
     of the program up to mark k, so the program runs once and the state is
     read at every mark; a step that repeats a segment's gates from the same
-    fuser state is replayed.
+    fuser state is replayed.  ``memo`` is passed to ``evolve``, so a run's
+    memo replays the blocks that the compiler's check fused on the same
+    compiled segments; a noisy series splices each shot anew and ignores it.
 
     plan.shots == 0 selects exact expectation values.  Otherwise each circuit
     is sampled with ``plan.shots`` shots, circuit k from the k-th stream that
@@ -235,7 +239,7 @@ def simulate_series(series: "CircuitSeries", plan: "SimulationPlan") -> Magnetiz
         n = series.program.num_qubits
         streams = np.random.SeedSequence(plan.seed).spawn(len(marks)) if plan.shots else None
         columns = []
-        snapshots = evolve(init_state(n).amplitudes, series.program.gates, marks)
+        snapshots = evolve(init_state(n).amplitudes, series.program.gates, marks, memo)
         for index, amps in enumerate(snapshots):
             state = StateVector(n, amps)
             if plan.shots == 0:

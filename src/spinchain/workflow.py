@@ -6,7 +6,7 @@ A run writes results under `<output_dir>/data/`:
   plot.svg                      all traces, unless plotting is disabled
   compile_report.txt            only when a compile mode is selected; one
                                 entry per step, each distinct step segment
-                                compiled and verified once
+                                compiled and checked once
 
 Everything in data/ is byte-deterministic for a given configuration.  The
 run log (config echo, gate counts, mode, wall-clock timings) cannot be, so
@@ -20,7 +20,8 @@ import time
 from dataclasses import dataclass, fields
 
 from .circuits import gate_counts
-from .compiler import CompileReport, NativeTarget, compile_program
+from .compiler import CompileReport, NativeTarget, compile_segments
+from .compiler import compile_program  # noqa: F401 - wrapped here by perfbench/tracing.py
 from .config import RunConfig, load_field_samples
 from .formats import dialect_extension, emit_program
 from .hamiltonian import HBAR_EV_FS, FieldProfile, HeisenbergModel
@@ -67,22 +68,21 @@ def prepare_circuits(
 
 
 def compile_series(
-    circuits: CircuitSeries, config: RunConfig
+    circuits: CircuitSeries, config: RunConfig, memo: dict | None = None
 ) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
-    """Compile and verify each distinct step segment once, when the config asks.
+    """Compile and check each distinct step segment once, when the config asks.
 
     Each step segment is compiled on its own, so no rewrite crosses a step
-    mark and every compiled circuit is the compiled prefix of its source.
-    The segments share one compile memo, which lives as long as this call.
-    A repeated step reuses its segment's compiled program and report, so the
-    reports hold one entry per step.
+    mark and every compiled circuit is the compiled prefix of its source;
+    one ``compile_segments`` call checks them all.  ``memo`` is the run's
+    memo (see ``compile_segments``), or None for one that lives as long as
+    this call.  A repeated step reuses its segment's compiled program and
+    report, so the reports hold one entry per step.
     """
     if config.compile_mode == "none":
         return circuits, None
     target = NativeTarget.from_name(config.backend)
-    memo: dict = {}
-    mode = config.compile_mode
-    compiled = [compile_program(segment, target, mode, memo) for segment in circuits.segments]
+    compiled = compile_segments(circuits.segments, target, config.compile_mode, memo)
     series = CircuitSeries(tuple(out for out, _ in compiled), circuits.order)
     return series, tuple(compiled[k][1] for k in circuits.order)
 
@@ -135,12 +135,13 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
     circuits = generate_circuits(build_model(config), plan)
     timings.append(("generate", time.perf_counter() - started))
 
+    memo: dict = {}  # the run's compile tables and fold, shared by compile and simulate
     started = time.perf_counter()
-    circuits, reports = compile_series(circuits, config)
+    circuits, reports = compile_series(circuits, config, memo)
     timings.append(("compile", time.perf_counter() - started))
 
     started = time.perf_counter()
-    series = simulate_series(circuits, plan)
+    series = simulate_series(circuits, plan, memo=memo)
     timings.append(("simulate", time.perf_counter() - started))
 
     started = time.perf_counter()

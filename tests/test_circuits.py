@@ -478,3 +478,51 @@ def test_evolve_fold_work_does_not_grow_with_repeated_steps():
             assert all(np.array_equal(a, b) for a, b in zip(plain, watched, strict=True))
         # reads: one per folded gate, plus lift's per distinct (gate, block qubits)
         assert reads[0] == reads[1] < len(series.program) // 10
+
+
+def _count_matrix_builds(monkeypatch):
+    # gate_matrix and _embed as evolve looks them up: every matrix the fold builds
+    built = [0]
+    for name in ("gate_matrix", "_embed"):
+        original = getattr(circuits, name)
+
+        def counted(*args, _original=original):
+            built[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(circuits, name, counted)
+    return built
+
+
+def test_evolve_with_a_shared_memo_equals_memo_less_calls(monkeypatch):
+    rng = np.random.default_rng(31)
+    a, b = random_program(rng, 5, 40), random_program(rng, 5, 40)
+    gates, marks = _repeat((a, b), (0, 1, 1, 0))
+    prepared = init_state(5, ["up", "down", "down", "up", "down"])
+    start = prepared.amplitudes
+    alone = list(evolve(start.copy(), gates, marks))
+    memo: dict = {}
+    first = list(evolve(start.copy(), gates, marks, memo))
+    built = _count_matrix_builds(monkeypatch)
+    # a second call over the same gates, from another state, replays the first's fold
+    other = apply_gate(prepared, make_gate("h", [2])).amplitudes
+    second = list(evolve(other.copy(), gates, marks, memo))
+    assert built[0] == 0
+    monkeypatch.undo()
+    assert all(np.array_equal(x, y) for x, y in zip(alone, first, strict=True))
+    assert all(
+        np.array_equal(x, y) for x, y in zip(evolve(other, gates, marks), second, strict=True)
+    )
+
+
+def test_evolve_memo_never_replays_across_widths():
+    # the same gate objects at widths 4 and 5 fold into different blocks
+    # (ranges of at most 3 qubits at n=4, 4 at n=5)
+    rng = np.random.default_rng(37)
+    gates, marks = _repeat((random_program(rng, 4, 60),), (0, 0, 0))
+    memo: dict = {}
+    for n in (4, 5, 4):
+        start = init_state(n, ["down" if q % 2 else "up" for q in range(n)]).amplitudes
+        plain = list(evolve(start.copy(), gates, marks))
+        shared = list(evolve(start.copy(), gates, marks, memo))
+        assert all(np.array_equal(x, y) for x, y in zip(plain, shared, strict=True))

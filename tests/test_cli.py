@@ -85,7 +85,7 @@ def test_run_negative_seed_exits_1_before_writing(tmp_path, capsys):
 
 
 def test_internal_simulation_error_exits_2(tmp_path, input_file, monkeypatch, capsys):
-    def broken(series, plan):
+    def broken(series, plan, **kwargs):
         raise SimulationError("kernel produced an unnormalized state")
 
     monkeypatch.setattr(workflow, "simulate_series", broken)
@@ -149,7 +149,7 @@ def test_compile_generic_mode(tmp_path, capsys):
     assert len(program.gates) == 6
 
 
-def test_compile_above_the_check_size_says_not_checked(tmp_path, capsys):
+def test_compile_above_ten_qubits_is_checked(tmp_path, capsys):
     circuit = tmp_path / "wide.quil"
     circuit.write_text("DECLARE ro BIT[11]\nH 10\nCNOT 0 10\nH 10\n")
     out = str(tmp_path / "out.quil")
@@ -159,4 +159,9 @@ def test_compile_above_the_check_size_says_not_checked(tmp_path, capsys):
         )
         assert code == 0
         printed = capsys.readouterr().out.splitlines()
-        assert printed[1] == "equivalence fidelity: not checked (register too large)"
+        assert printed[1] == "equivalence fidelity: 1.000000000000"
+    # wider than the simulator: refused up front, as an input error
+    circuit.write_text("DECLARE ro BIT[25]\nH 24\n")
+    code = main(["compile", "--dialect", "quil", "--target", "ibm", str(circuit), out])
+    assert code == 1
+    assert "error: cannot check a compile on 25 qubits" in capsys.readouterr().err

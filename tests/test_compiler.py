@@ -356,3 +356,81 @@ def test_compile_program_dispatch():
         compile_program(p, NativeTarget.IBM, "aggressive")
     with pytest.raises(CompileError):
         NativeTarget.from_name("google")
+
+
+# ---------------------------------------------------------------------------
+# The equivalence check
+
+
+def _driven_segments(n, steps=2):
+    model = HeisenbergModel(
+        jx=1.0, jy=0.8, jz=0.5, field_axis="x",
+        field=FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.25),
+    )
+    spins = tuple("up" if q < n // 2 else "down" for q in range(n))
+    plan = SimulationPlan(num_qubits=n, initial_spins=spins, delta_t=0.05, steps=steps)
+    return generate_circuits(model, plan).segments
+
+
+def _commute(a, b):
+    # whether gates a and b commute, from their dense matrices on their own qubits
+    on = sorted({*a.qubits, *b.qubits})
+    local = [make_gate(g.kind, [on.index(q) for q in g.qubits], g.angles) for g in (a, b)]
+    ab = program_unitary(Program(len(on), tuple(local)))
+    ba = program_unitary(Program(len(on), tuple(local[::-1])))
+    return unitary_equivalent(ab, ba, tol=1e-12)
+
+
+def _bend_one_rz(gates):
+    i = next(i for i, g in enumerate(gates) if g.kind is GateKind.RZ)
+    bent = make_gate(GateKind.RZ, gates[i].qubits, [gates[i].angles[0] + 1e-6])
+    return gates[:i] + (bent,) + gates[i + 1 :]
+
+
+def _drop_one_gate(gates):
+    return gates[: len(gates) // 2] + gates[len(gates) // 2 + 1 :]
+
+
+def _swap_two_non_commuting_gates(gates):
+    i = next(
+        i for i, (a, b) in enumerate(zip(gates, gates[1:]))
+        if {*a.qubits} & {*b.qubits} and not _commute(a, b)
+    )
+    return gates[:i] + (gates[i + 1], gates[i]) + gates[i + 2 :]
+
+
+@pytest.mark.parametrize("n", [6, 12, 16])
+@pytest.mark.parametrize("mutate", [_bend_one_rz, _drop_one_gate, _swap_two_non_commuting_gates])
+def test_check_rejects_a_broken_compiled_segment(monkeypatch, n, mutate):
+    segments = _driven_segments(n)
+    compile_one = compiler._compile_one
+    broken = []
+
+    def compile_then_break(program, target, mode, memo):
+        compiled, applied = compile_one(program, target, mode, memo)
+        if program is segments[1]:  # a step between two correct segments
+            compiled = Program(compiled.num_qubits, mutate(compiled.gates))
+            broken.append(compiled)
+        return compiled, applied
+
+    monkeypatch.setattr(compiler, "_compile_one", compile_then_break)
+    with pytest.raises(CompileError, match=r"compiled segment 1 differs from its source: residual="):
+        compiler.compile_segments(segments, NativeTarget.RIGETTI, "domain_specific")
+    assert len(broken) == 1
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_check_passes_a_correct_driven_compile_at_every_width(n):
+    segments = _driven_segments(n)
+    results = compiler.compile_segments(segments, NativeTarget.RIGETTI, "domain_specific")
+    assert len(results) == len(segments) == 3
+    for compiled, report in results:
+        assert conforms(compiled, NativeTarget.RIGETTI)
+        assert report.fidelity_line() == "equivalence fidelity: 1.000000000000"
+
+
+def test_compile_segments_refuses_a_register_wider_than_the_simulator():
+    # refused before any state is allocated
+    with pytest.raises(ValueError, match="cannot check a compile on 25 qubits"):
+        compile_program(Program(25, (make_gate("h", [24]),)), NativeTarget.IBM, "generic")
+    assert compiler.compile_segments([], NativeTarget.IBM, "generic") == []

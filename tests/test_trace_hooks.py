@@ -16,7 +16,10 @@ import spinchain
 import spinchain.cli
 from spinchain import RunConfig, generate_circuits, run_workflow
 from spinchain.compiler import NativeTarget, compile_program
-from spinchain.workflow import _format_report, build_model, build_plan, prepare_circuits
+from spinchain.simulator import simulate_series
+from spinchain.workflow import (
+    _format_report, build_model, build_plan, compile_series, prepare_circuits,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,21 +42,35 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
         path.write_text("Jz = 1.0\nh_ext = 2.0\nnum_qubits = 2\nsteps = 2\nshots = 8\n")
         tracer.start_op(0)
         assert spinchain.cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        # a compiled, sampled run: simulate_series also gets the run's memo
+        compiled = tmp_path / "compiled.txt"
+        compiled.write_text(path.read_text() + "backend = rigetti\ncompile = domain_specific\n")
+        tracer.start_op(1)
+        assert spinchain.cli.main(["run", str(compiled), "--output-dir", str(tmp_path / "c")]) == 0
     finally:
         tracer.close()
     assert spinchain.workflow.simulate_series is original
-    names = {span[0] for _, span in tracer.op_spans(0)}
-    assert {
-        "cli.main", "trotter.generate", "simulator.simulate", "simulator.sample", "plotting.render",
-    } <= names
-    assert tracer.counts[0]["simulator.num_qubits"] == 2
+    for op in (0, 1):
+        names = {span[0] for _, span in tracer.op_spans(op)}
+        assert {
+            "cli.main", "trotter.generate", "simulator.simulate", "simulator.sample",
+            "plotting.render",
+        } <= names
+        assert tracer.counts[op]["simulator.num_qubits"] == 2
+    assert (tmp_path / "c" / "data" / "compile_report.txt").exists()
 
 
 def _count_compile_calls(monkeypatch):
-    # the compiler.* metrics time workflow.compile_program per distinct step
-    # segment and compiler.program_unitary per dense check (source and output)
-    calls = {"compile_program": 0, "program_unitary": 0}
-    for module, name in ((spinchain.workflow, "compile_program"), (spinchain.compiler, "program_unitary")):
+    # compile_segments per run, _compile_one per distinct step segment, the
+    # check's evolve calls (one per side and stimulus state), and the names
+    # the benchmark's tracer wraps, which a run no longer calls
+    workflow, compiler = spinchain.workflow, spinchain.compiler
+    names = (
+        (workflow, "compile_segments"), (compiler, "_compile_one"), (compiler, "evolve"),
+        (compiler, "program_unitary"), (workflow, "compile_program"),
+    )
+    calls = {name: 0 for _, name in names}
+    for module, name in names:
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name):
@@ -69,6 +86,7 @@ CONSTANT = RunConfig(
     compile_mode="domain_specific",
 )
 SINUSOID = replace(CONSTANT, time_dep_flag=True, freq=0.3)
+ONE_CHECK = {"compile_segments": 1, "evolve": 2 * 2, "program_unitary": 0, "compile_program": 0}
 
 
 def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
@@ -76,14 +94,35 @@ def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
     circuits, reports = prepare_circuits(CONSTANT)
     assert len(reports) == len(circuits) == 5
     # a constant field has two distinct segments: state prep and one step
-    assert calls == {"compile_program": 2, "program_unitary": 4}
+    assert calls == {**ONE_CHECK, "_compile_one": 2}
 
 
 def test_prepare_circuits_compiles_every_step_of_a_sinusoid(monkeypatch):
     calls = _count_compile_calls(monkeypatch)
     circuits, reports = prepare_circuits(SINUSOID)
     assert len(reports) == len(circuits) == len(circuits.segments) == 5
-    assert calls == {"compile_program": 5, "program_unitary": 10}
+    assert calls == {**ONE_CHECK, "_compile_one": 5}
+
+
+def test_simulation_replays_the_fold_of_the_check(monkeypatch):
+    plan = build_plan(SINUSOID)
+    source = generate_circuits(build_model(SINUSOID), plan)
+    memo: dict = {}
+    circuits, _ = compile_series(source, SINUSOID, memo)
+    assert circuits.order == tuple(range(len(circuits.segments)))  # all distinct
+    built = [0]
+    for name in ("gate_matrix", "_embed"):
+        original = getattr(spinchain.circuits, name)
+
+        def counted(*args, _original=original):
+            built[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(spinchain.circuits, name, counted)
+    shared = simulate_series(circuits, plan, memo=memo)
+    assert built[0] == 0
+    monkeypatch.undo()
+    assert shared == simulate_series(circuits, plan)
 
 
 @pytest.mark.parametrize("config", [CONSTANT, SINUSOID], ids=["constant", "sinusoid"])

@@ -252,3 +252,16 @@ def test_run_with_zero_field_has_no_field_layer(tmp_path, compile_mode):
         assert report.count("step ") == 7
         # two CNOTs between quarter turns, no field
         assert report.count("  input:  8 gates\n") == 6
+
+
+def test_compiled_sixteen_qubit_run_checks_every_step(tmp_path):
+    config = RunConfig(
+        jx=1.0, jy=0.8, jz=0.5, h_ext=1.0, time_dep_flag=True, freq=0.25, num_qubits=16,
+        initial_spins=("up",) * 8 + ("down",) * 8, delta_t=0.05, steps=3,
+        backend="ibm", compile_mode="domain_specific", plot_flag=False,
+    )
+    artifacts = run_workflow(config, str(tmp_path))
+    with open(artifacts.report_path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    checked = [line for line in lines if "equivalence fidelity" in line]
+    assert checked == ["  equivalence fidelity: 1.000000000000"] * (config.steps + 1)

@@ -234,20 +234,21 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 _QUBIT_AXES_FIRST = [(*range(1, 2 * k, 2), *range(0, 2 * k + 1, 2)) for k in range(32)]
 
 
-def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
-    """Left-multiply ``amps`` in place by the 2^k x 2^k ``m`` on k ``qubits``.
+def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None, out=None) -> None:
+    """Left-multiply ``amps`` by the 2^k x 2^k ``m`` on k ``qubits``, in place or
+    into ``out``, a separate array of its shape and dtype, leaving it as it was.
 
     The qubits ascend, except that a pair may come in either order; any other
-    order, or a qubit outside the register, raises GateError before ``amps``
-    is touched.  ``amps`` is C-contiguous with 2^n entries on its leading axis
+    order, or a qubit outside the register, raises GateError before anything
+    is written.  ``amps`` is C-contiguous with 2^n entries on its leading axis
     and an optional trailing batch axis, and m's high bit is the first qubit.
     Qubits that form one range q..q+k-1 are a single axis of ``amps`` viewed
-    as (2^q, 2^k, rest), so one matmul writes the product into the spare
-    ``work`` array, which is copied back; a range that ends on the last qubit
-    of an unbatched state multiplies the (2^q, 2^k) view by m's transpose, as
-    one matrix product.  Any other set is viewed as (2^a, 2, 2^b, 2, ...,
-    rest), one axis per qubit, and its slices are gathered into ``work`` and
-    multiplied back.  ``work`` holds 1.5 states either way.
+    as (2^q, 2^k, rest), so one matmul writes the product into ``out`` (or
+    into the spare ``work``, copied back); a range that ends on the last qubit
+    of an unbatched state is one (2^q, 2^k) @ m.T product.  Any other set is
+    viewed as (2^a, 2, 2^b, 2, ..., rest), one axis per qubit, and its slices
+    are gathered into ``work`` and multiplied into ``out`` or back.  ``work``,
+    which a call makes if it needs one and gets none, holds 1.5 states.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
@@ -256,17 +257,23 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
         raise GateError(f"qubits must ascend, or be a pair in either order: {tuple(qubits)}")
     if qubits[-1] >= len(amps).bit_length() - 1:
         raise GateError(f"qubits {tuple(qubits)} exceed the register of {len(amps)} amplitudes")
-    if work is None:
+    in_place = out is None
+    if not in_place and (out.shape != amps.shape or out.dtype != amps.dtype or not
+                         out.flags.c_contiguous or np.may_share_memory(amps, out)):
+        raise GateError("out must be a C-contiguous array of amps's shape and dtype, apart from it")
+    is_range = qubits[-1] - qubits[0] == len(qubits) - 1  # they ascend
+    if work is None and (in_place or not is_range):
         work = np.empty((3, amps.size // 2), amps.dtype)
     view = amps.view()
-    if qubits[-1] - qubits[0] == len(qubits) - 1:  # ascending, so a range
+    if is_range:
         view.shape = (1 << qubits[0], len(m), -1)  # raises for a non-contiguous amps
-        product = work.reshape(-1)[: amps.size].reshape(view.shape)
+        product = (work.reshape(-1)[: amps.size] if in_place else out).reshape(view.shape)
         if view.shape[2] == 1:  # one large matrix product, not 2^q small ones
             np.matmul(view[..., 0], m.T, out=product[..., 0])
         else:
             np.matmul(m, view, out=product)
-        np.copyto(view, product)
+        if in_place:
+            np.copyto(view, product)
         return
     shape, low = [], 0
     for q in qubits:
@@ -274,13 +281,14 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None) -> None:
         low = q + 1
     view.shape = (*shape, -1)
     sub = view.transpose(_QUBIT_AXES_FIRST[len(qubits)])
+    target = sub if in_place else out.reshape(view.shape).transpose(_QUBIT_AXES_FIRST[len(qubits)])
     gathered = work[:2].reshape(len(m), -1)
     np.copyto(gathered.reshape(sub.shape), sub)
     half = len(m) // 2
     for bit in (0, 1):  # half the rows at a time, so work holds 1.5 states
         product = work[2].reshape(half, -1)
         np.matmul(m[bit * half : (bit + 1) * half], gathered, out=product)
-        np.copyto(sub[bit], product.reshape(sub.shape[1:]))
+        np.copyto(target[bit], product.reshape(sub.shape[1:]))
 
 
 _EYE2 = np.eye(2, dtype=np.complex128)
@@ -314,8 +322,8 @@ def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.nd
 
 def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
     """Apply ``gates`` to ``amps`` in place and, for each of the non-decreasing
-    ``marks``, yield the array after the first ``mark`` gates (a copy, or
-    ``amps`` itself after the last gate).
+    ``marks``, yield the array after the first ``mark`` gates (a fresh array,
+    or ``amps`` itself after the last gate).
 
     Gates fold into one open block on an ascending set of qubits.  A two-qubit
     gate that reaches outside the set grows it while the set stays a range of
@@ -324,10 +332,12 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
     block on the gate's own pair opens.  A gate inside the set folds in by a
     small matmul with its matrix lifted onto the set, built once per call.  A
     single-qubit gate outside the set commutes with every gate since, so its
-    product waits on its qubit and joins the block with that qubit.  A mark
-    applies the open block and the waiting products (grouped on ranges of
-    adjacent qubits, within the same bound) to a copy, as the end does to
-    ``amps``, so each snapshot is bit-identical to its prefix alone.
+    product waits on its qubit and joins the block with that qubit.  Each pass
+    writes the state into one spare array, and the two swap.  A mark writes
+    the open block and the waiting products (on ranges of adjacent qubits,
+    within the same bound) from the state into a fresh snapshot, as the end
+    does into the state (copied into ``amps`` if it sits in the spare), so
+    each snapshot is bit-identical to its prefix alone.
 
     The fold records the blocks it applies between two marks.  A later stretch
     of the same gate objects that starts from the same open set, block bytes
@@ -343,7 +353,7 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
         raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
     n = len(amps).bit_length() - 1
     limit = min(4, max(2, n - 1))  # a block holds at most 4 qubits, and fewer than n once n >= 3
-    work = np.empty((3, amps.size // 2), amps.dtype)
+    state, spare = amps, np.empty_like(amps)
     memo = {} if memo is None else memo
     lifted: dict = memo.setdefault("lifted", {})
     # (width, stretch gate ids, entry state) -> (blocks applied, exit state, the
@@ -365,19 +375,22 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
     held, block = (), _ONE  # the open block and the qubits it holds
     waiting: dict[int, np.ndarray] = {}  # per qubit outside the block: its gates' product
 
-    def flush(target: np.ndarray) -> None:
-        if held:
-            apply_matrix(target, block, held, work)
-        # the waiting products on ranges of adjacent qubits, each within
-        # limit, so that every one takes the kernel's one-matmul path
+    def apply(m: np.ndarray, on: tuple[int, ...]) -> None:
+        nonlocal state, spare
+        apply_matrix(state, m, on, out=spare)
+        state, spare = spare, state
+
+    def pending() -> list:
+        # the open block, then the waiting products on ranges of at most limit
+        # qubits, so that every one takes the kernel's one-matmul path
         ranges: list[list[int]] = []
         for q in sorted(waiting):
             if ranges and ranges[-1][-1] == q - 1 and len(ranges[-1]) < limit:
                 ranges[-1].append(q)
             else:
                 ranges.append([q])
-        for on in map(tuple, ranges):
-            apply_matrix(target, functools.reduce(_kron, map(waiting.get, on)), on, work)
+        waits = [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
+        return [(block, held), *waits] if held else waits
 
     inner = [m for m in marks if m < len(gates)]
     start = 0
@@ -392,7 +405,7 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
                 applied, (held, block, waiting), _ = replays[key]
                 waiting = dict(waiting)
                 for m, on in applied:
-                    apply_matrix(amps, m, on, work)
+                    apply(m, on)
             else:
                 applied = []
                 for gate in stretch:
@@ -406,7 +419,7 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
                         # the set grows only into a range of at most limit
                         # qubits, which the kernel applies in one matmul
                         if held and (len(grown) > limit or grown[-1] - grown[0] >= len(grown)):
-                            apply_matrix(amps, block, held, work)
+                            apply(block, held)
                             applied.append((block, held))
                             held, block, grown = (), _ONE, tuple(sorted(qubits))
                         for q in grown:  # the joining qubits' waiting products
@@ -417,11 +430,20 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
                 replays[key] = applied, (held, block, dict(waiting)), stretch
             start = stop
         if stop < len(gates):
-            snapshot = amps.copy()
-            flush(snapshot)
+            products, snapshot = pending(), np.empty_like(state)
+            # the products alternate through the spare so that the last lands in the snapshot
+            source, target = state, (snapshot, spare)[len(products) % 2 == 0]
+            for m, on in products:
+                apply_matrix(source, m, on, out=target)
+                source, target = target, (snapshot, spare)[target is snapshot]
+            if not products:
+                np.copyto(snapshot, state)
             yield snapshot
-            del snapshot  # only the caller holds it while the next stretch runs
-    flush(amps)
+            del snapshot, source, target  # only the caller holds it while the next stretch runs
+    for m, on in pending():
+        apply(m, on)
+    if state is not amps:
+        np.copyto(amps, state)
     for _ in marks[len(inner):]:  # these all equal len(gates)
         yield amps
 

@@ -13,6 +13,7 @@ internal failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .circuits import GateError
@@ -31,6 +32,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process; main looks up the handler at each call
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spinchain",
@@ -45,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=".",
         help="directory that will contain data/ (default: current directory)",
     )
-    run.set_defaults(func=_cmd_run)
 
     comp = sub.add_parser("compile", help="compile one circuit file to a native gate set")
     comp.add_argument("--dialect", choices=DIALECTS, required=True)
@@ -57,13 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("input", help="circuit file to read")
     comp.add_argument("output", help="path for the compiled circuit")
-    comp.set_defaults(func=_cmd_compile)
 
     emit = sub.add_parser("emit", help="write the generated circuit series to files")
     emit.add_argument("--dialect", choices=DIALECTS, required=True)
     emit.add_argument("input_file", help="key = value configuration file")
     emit.add_argument("outdir", help="directory for the circuit files")
-    emit.set_defaults(func=_cmd_emit)
 
     return parser
 
@@ -108,10 +107,9 @@ def _cmd_emit(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return {"run": _cmd_run, "compile": _cmd_compile, "emit": _cmd_emit}[args.command](args)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,14 +9,14 @@ the run seed, so no two circuits or seeds share one; a noisy series draws its
 trajectories from one generator on the run seed.
 
 Every mode moves a state only through ``circuits.evolve`` (gates fused into
-blocks on ranges of up to four qubits, each applied in place by one matmul on
-a reshaped view, a repeated step replayed from its recorded blocks), which
-runs the series program once and snapshots it at every step mark.  A noisy
-shot is the program with its drawn Paulis spliced in, run the same way.
-Every site's <sigma^z> comes from one pairwise-halving pass, over the
-probabilities in exact mode and over the shot counts in sampled and noisy
-mode; ``simulate_series`` and ``expectation_z`` share it, so the two agree
-bit for bit.  Each returned ``StateVector`` is checked once.
+blocks on ranges of up to four qubits, each one matmul from the state into a
+spare, a repeated step replayed from its recorded blocks), which runs the
+series program once and writes a snapshot at every step mark.  A noisy shot
+is the program with its drawn Paulis spliced in, run the same way.  Every
+site's <sigma^z>, and each row's sum, comes from one pairwise-halving pass
+over a batch of rows: the probabilities of many marks in exact mode (a sum
+off 1 by over 1e-10 is refused), shot counts in sampled and noisy mode.
+``simulate_series`` and ``expectation_z`` share it and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 
 class SimulationError(ValueError):
     """Raised for invalid simulator inputs."""
+
+
+_BATCH_ENTRIES = 1 << 12  # per readout pass: many marks' rows at small n, one row at n >= 12
 
 
 @dataclass
@@ -87,25 +90,28 @@ def run_statevector(program: Program, initial_spins: Sequence[str] | None = None
     return StateVector(program.num_qubits, final)
 
 
-def _z_expectations(weights: np.ndarray, total=1.0) -> list[float]:
-    # every qubit's <sigma^z> from the basis-state probabilities, or from shot
-    # counts that sum to total, which it overwrites: the high half of weights
-    # has the first qubit down, and adding it onto the low half leaves the
-    # weights of the qubits after it, so all n values take O(2^n) in total;
-    # on counts each value is the exact (shots - 2 down) / shots
-    values = []
-    while len(weights) > 1:
-        low, high = weights.reshape(2, -1)
-        values.append((total - 2 * high.sum().item()) / total)
+def _z_expectations(weights: np.ndarray, total=1.0) -> tuple[np.ndarray, np.ndarray]:
+    # per row of the (rows, 2^n) weights, every qubit's <sigma^z> from the
+    # basis-state probabilities, or from shot counts that sum to total, and
+    # the row's sum; it overwrites weights.  The high half of a row has the
+    # first qubit down, and adding it onto the low half leaves the weights of
+    # the qubits after it, so all n values take O(2^n) in total.  Each half
+    # sums along a contiguous axis, row by row, so each row's values are the
+    # bits of a pass on that row alone; on counts each value is the exact
+    # (shots - 2 down) / shots
+    values = np.empty((len(weights), weights.shape[1].bit_length() - 1))
+    for q in range(values.shape[1]):
+        low, high = weights.reshape(len(weights), 2, -1).transpose(1, 0, 2)
+        values[:, q] = (total - 2 * high.sum(axis=1)) / total
         weights = np.add(low, high, out=low)
-    return values
+    return values, weights[:, 0]
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<sigma^z> on one qubit: +1 for |0> (spin-up), -1 for |1>."""
     if not 0 <= qubit < state.num_qubits:
         raise SimulationError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    return _z_expectations(np.abs(state.amplitudes) ** 2)[qubit]
+    return float(_z_expectations(np.abs(state.amplitudes)[None] ** 2)[0][0, qubit])
 
 
 def sample_counts(
@@ -164,6 +170,7 @@ def run_noisy(
     touched = [q for g in gates for q in g.qubits]
     p = np.array([noise.p1 if len(g.qubits) == 1 else noise.p2 for g in gates for _ in g.qubits])
     paulis = [[make_gate(kind, [q]) for kind in "xyz"] for q in range(n)]
+    lifted: dict = {}  # the gate matrices every shot shares; each keeps its own replays
     initial = init_state(n).amplitudes
     counts = np.zeros((len(marks), len(initial)), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -179,7 +186,7 @@ def run_noisy(
             start = stop
         spliced += gates[start:]
         shifted = marks + np.searchsorted(owner[hits], marks)  # hits on gates before each mark
-        snapshots = evolve(initial.copy(), spliced, shifted.tolist())
+        snapshots = evolve(initial.copy(), spliced, shifted.tolist(), {"lifted": lifted})
         for row, snapshot, u in zip(counts, snapshots, draws):
             cdf = np.cumsum(np.abs(snapshot) ** 2)
             row[min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)] += 1
@@ -230,27 +237,29 @@ def simulate_series(
     from one generator on ``SeedSequence(plan.seed)``, each read at every
     mark.  Zero noise is plain sampling.
     """
-    marks = series.step_ends
-    noise = plan.noise
-    if plan.shots and noise is not None and (noise.p1 or noise.p2):
-        counts = run_noisy(series.program, marks, plan.shots, noise, plan.seed)
-        columns = [_z_expectations(row, plan.shots) for row in counts]
+    marks, n, shots, noise = series.step_ends, series.program.num_qubits, plan.shots, plan.noise
+    if shots and noise is not None and (noise.p1 or noise.p2):
+        values = _z_expectations(run_noisy(series.program, marks, shots, noise, plan.seed), shots)[0]
     else:
-        n = series.program.num_qubits
-        streams = np.random.SeedSequence(plan.seed).spawn(len(marks)) if plan.shots else None
-        columns = []
+        streams = np.random.SeedSequence(plan.seed).spawn(len(marks)) if shots else None
+        size = max(1, min(len(marks), _BATCH_ENTRIES >> n))  # marks read per halving pass
+        batch = np.empty((size, 1 << n), np.int64 if shots else float)
+        values = np.empty((len(marks), n))
         snapshots = evolve(init_state(n).amplitudes, series.program.gates, marks, memo)
-        for index, amps in enumerate(snapshots):
-            state = StateVector(n, amps)
-            if plan.shots == 0:
-                probs = np.abs(state.amplitudes)
-                probs *= probs  # in place: one state-sized temporary fewer at the peak
-                columns.append(_z_expectations(probs))
-            else:
-                counts = sample_counts(state, plan.shots, streams[index])
-                columns.append(_z_expectations(counts, plan.shots))
-            amps = state = probs = counts = None  # free them before the next snapshot
+        for first in range(0, len(marks), len(batch)):
+            rows = batch[: len(marks) - first]
+            # next(snapshots) in place: nothing holds a snapshot while the next one is written
+            for index, row in enumerate(rows, first):
+                if shots:
+                    row[:] = sample_counts(StateVector(n, next(snapshots)), shots, streams[index])
+                else:
+                    np.abs(next(snapshots), out=row)
+                    row *= row
+            values[first : first + len(rows)], norms = _z_expectations(rows, shots or 1.0)
+            for index, norm in enumerate(() if shots else norms.tolist(), first):
+                if abs(norm - 1.0) > 1e-10:  # as a StateVector checks its norm
+                    raise SimulationError(f"mark {index}: state not normalized: |psi|^2 = {norm}")
     return MagnetizationSeries(
         times=tuple(k * plan.delta_t for k in range(len(marks))),
-        values=tuple(zip(*columns)),
+        values=tuple(map(tuple, values.T.tolist())),
     )

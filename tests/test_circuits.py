@@ -195,8 +195,34 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
         for m in (_random_unitary(rng, dim), phases):  # dense and diagonal matrices
             amps = rng.normal(size=(1 << n, *batch)) + 1j * rng.normal(size=(1 << n, *batch))
             expected = dense_gate_oracle(m, qubits, n) @ amps
+            source, out = amps.copy(), np.empty_like(amps)
             apply_matrix(amps, m, qubits)
             assert np.max(np.abs(amps - expected)) <= 1e-12
+            # out of place: the same bits in out, and the source as it was
+            before = source.copy()
+            apply_matrix(source, m, qubits, out=out)
+            assert np.array_equal(out, amps) and np.array_equal(source, before)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_apply_matrix_rejects_an_out_it_cannot_write(batch):
+    rng = np.random.default_rng(9)
+    amps = rng.normal(size=(16, *batch)) + 1j * rng.normal(size=(16, *batch))
+    before = amps.copy()
+    m = _random_unitary(rng, 4)
+    wide = np.empty((16, 6), amps.dtype)
+    bad = (
+        np.empty((8, *batch), amps.dtype),  # the wrong shape
+        np.empty(amps.shape, np.complex64),  # the wrong dtype
+        wide[:, ::2] if batch else wide[:, 0],  # not C-contiguous
+        amps,  # amps itself
+        amps[::-1],  # the same memory, reversed
+    )
+    for out in bad:
+        for qubits in ((1, 2), (0, 3)):  # a range and a gather
+            with pytest.raises(GateError, match="out must be"):
+                apply_matrix(amps, m, qubits, out=out)
+            assert np.array_equal(amps, before)
 
 
 def test_apply_matrix_rejects_qubits_out_of_order():
@@ -280,9 +306,9 @@ def test_run_statevector_applies_one_block_per_three_bonds_per_step(monkeypatch)
     program = _chain_program(n, steps)
     shapes = []
 
-    def counting(amps, *args):
+    def counting(amps, *args, **kwargs):
         shapes.append(amps.shape)
-        apply_matrix(amps, *args)
+        apply_matrix(amps, *args, **kwargs)
 
     monkeypatch.setattr(circuits, "apply_matrix", counting)
     state = run_statevector(program)
@@ -315,10 +341,10 @@ def test_evolve_wide_block_snapshots_equal_each_prefix_alone(n):
 def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeypatch):
     applied = []
 
-    def recording(amps, m, qubits, *args):
+    def recording(amps, m, qubits, *args, **kwargs):
         assert len(m) == 1 << len(qubits)
         applied.append(tuple(qubits))
-        apply_matrix(amps, m, qubits, *args)
+        apply_matrix(amps, m, qubits, *args, **kwargs)
 
     def is_range(qubits):
         return qubits == tuple(range(qubits[0], qubits[0] + len(qubits)))

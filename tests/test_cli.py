@@ -165,3 +165,13 @@ def test_compile_above_ten_qubits_is_checked(tmp_path, capsys):
     code = main(["compile", "--dialect", "quil", "--target", "ibm", str(circuit), out])
     assert code == 1
     assert "error: cannot check a compile on 25 qubits" in capsys.readouterr().err
+
+
+def test_main_runs_a_handler_patched_after_the_first_call(tmp_path, input_file, monkeypatch):
+    from spinchain import cli
+
+    assert main(["run", input_file, "--output-dir", str(tmp_path / "out")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(args.input_file) or 0)
+    assert main(["run", input_file]) == 0
+    assert seen == [input_file]

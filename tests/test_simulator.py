@@ -111,9 +111,68 @@ def test_z_expectations_match_bit_sign_oracle(n):
     # each basis index weighted by the sign of the qubit's bit
     signs = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     expected = probs @ signs
-    values = simulator._z_expectations(probs.copy())
+    (values,), (total,) = simulator._z_expectations(probs[None].copy())
     assert len(values) == n
-    assert np.max(np.abs(np.array(values) - expected)) <= 1e-14
+    assert np.max(np.abs(values - expected)) <= 1e-14
+    assert abs(total - 1.0) <= 1e-14
+
+
+def _z_expectations_per_row(weights, total=1.0):
+    # the reference: the halving pass on one 1-D row alone
+    values = []
+    while len(weights) > 1:
+        low, high = weights.reshape(2, -1)
+        values.append((total - 2 * high.sum().item()) / total)
+        weights = np.add(low, high, out=low)
+    return values, weights[0].item()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_batched_z_expectations_equal_the_per_row_pass(n):
+    rng = np.random.default_rng(120 + n)
+    batch = max(1, simulator._BATCH_ENTRIES >> n)
+    for rows in (1, 7, batch + 3):
+        amps = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+        probs = np.abs(amps / np.linalg.norm(amps, axis=1, keepdims=True)) ** 2
+        counts = np.array([rng.multinomial(1000, p) for p in probs])
+        for weights, total in ((probs, 1.0), (counts, 1000)):
+            expected = [_z_expectations_per_row(row.copy(), total) for row in weights]
+            values, totals = simulator._z_expectations(weights.copy(), total)
+            assert values.tolist() == [v for v, _ in expected]
+            assert totals.tolist() == [t for _, t in expected]
+
+
+def test_series_refuses_a_snapshot_off_the_unit_norm(monkeypatch):
+    series, plan = _tiny_series()
+    evolve = simulator.evolve
+
+    def drifting(amps, gates, marks, memo=None):
+        for k, snapshot in enumerate(evolve(amps, gates, marks, memo)):
+            yield snapshot * math.sqrt(1 + 1e-9) if k == 2 else snapshot
+
+    monkeypatch.setattr(simulator, "evolve", drifting)
+    with pytest.raises(SimulationError, match="mark 2: state not normalized"):
+        simulate_series(series, plan)
+
+
+def test_exact_series_peak_memory_stays_below_five_states():
+    import tracemalloc
+
+    # n = 14, 256 KiB a state: the state, its spare, one snapshot, a row of
+    # probabilities and the run's gate matrices come to about 4.6 states; a
+    # kernel buffer, or a snapshot held while the next one is written, would
+    # each add one or more
+    model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=FieldProfile(amplitude=1.0))
+    spins = ["down" if q % 3 == 1 else "up" for q in range(14)]
+    plan = SimulationPlan(num_qubits=14, initial_spins=spins, delta_t=0.05, steps=4)
+    series = generate_circuits(model, plan)
+    tracemalloc.start()
+    try:
+        simulate_series(series, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * (16 << 14)
 
 
 def test_expectation_z_against_enumeration():
@@ -145,8 +204,9 @@ def test_sample_counts_deterministic_and_complete():
 
 def test_magnetization_from_counts():
     # the counts {"00": 3, "10": 1}, indexed by basis state
-    counts = np.array([3, 0, 1, 0])
-    assert simulator._z_expectations(counts, 4) == [0.5, 1.0]
+    counts = np.array([[3, 0, 1, 0]])
+    values, totals = simulator._z_expectations(counts, 4)
+    assert values.tolist() == [[0.5, 1.0]] and totals.tolist() == [4]
 
 
 @pytest.mark.parametrize("qubit", [-1, 2, 5])
@@ -166,7 +226,7 @@ def test_sampled_values_equal_the_bitstring_count_oracle(n):
             oracle = counts_dict_oracle(state, shots, seed)
             assert {format(i, f"0{n}b"): c for i, c in enumerate(counts) if c} == oracle
             expected = [magnetization_from_counts_oracle(oracle, q) for q in range(n)]
-            assert simulator._z_expectations(counts, shots) == expected
+            assert simulator._z_expectations(counts[None], shots)[0][0].tolist() == expected
 
 
 def test_zero_noise_series_matches_plain_sampling():
@@ -284,6 +344,27 @@ def test_noisy_series_matches_the_density_matrix_reference():
     swapped, _ = prepare_circuits(replace(NOISY_CHAIN, jx=NOISY_CHAIN.jz, jz=NOISY_CHAIN.jx))
     control = pauli_channel_reference(swapped.program, swapped.step_ends, noise.p1, noise.p2)
     assert np.max(np.abs(estimate - control)) > eps
+
+
+def test_run_noisy_builds_each_gate_matrix_once_across_shots(monkeypatch):
+    from spinchain import circuits
+
+    program = _two_qubit_program()
+    built = []
+
+    def counting(gate):
+        built.append(gate)
+        return gate_matrix(gate)
+
+    monkeypatch.setattr(circuits, "gate_matrix", counting)
+    noise = NoiseParams(p1=0.5, p2=0.5)  # every Pauli is drawn in the first few shots
+    calls = []
+    for shots in (50, 200):
+        built.clear()
+        run_noisy(program, [0, len(program)], shots, noise, seed=3)
+        calls.append(len(built))
+        assert len(built) == len(set(built))
+    assert calls[0] == calls[1]
 
 
 def test_noise_params_validation():

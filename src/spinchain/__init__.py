@@ -23,7 +23,6 @@ from .compiler import (
     CompileReport,
     NativeTarget,
     compile_program,
-    conforms,
     ds_compile,
     lower_generic,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "build_model",
     "build_plan",
     "compile_program",
-    "conforms",
     "ds_compile",
     "emit_qasm",
     "emit_quil",

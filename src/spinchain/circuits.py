@@ -6,11 +6,14 @@ measurement bitstring (most significant bit of the basis-state index), and
 spin-up is identified with |0>.  Angles are stored unreduced; any mod-2*pi
 normalization happens in compiler passes, never here.
 
-One in-place kernel, ``apply_matrix``, applies gates: one matmul on a
-reshaped view when the qubits form a range, and a gather into a spare buffer
-for any other set.  ``evolve`` folds gates into blocks on ranges of up to four
-qubits, one open block at a time, for the simulator, the compiler's
-equivalence check and ``program_unitary``.
+One kernel, ``apply_matrix``, applies a gate or block from one array into
+another: one matmul on a reshaped view when the qubits form a range, and a
+gather through the target array for any other set.  ``fuse`` folds one
+stretch of gates into blocks on ranges of up to four qubits, one open block
+at a time, and ``evolve`` applies lists of blocks to a state, yielding it
+after each list.
+A run fuses each step segment once (``fuse_segments``) for the simulator and
+the compiler's equivalence check; ``program_unitary`` fuses its program.
 """
 
 from __future__ import annotations
@@ -234,21 +237,20 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 _QUBIT_AXES_FIRST = [(*range(1, 2 * k, 2), *range(0, 2 * k + 1, 2)) for k in range(32)]
 
 
-def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None, out=None) -> None:
-    """Left-multiply ``amps`` by the 2^k x 2^k ``m`` on k ``qubits``, in place or
-    into ``out``, a separate array of its shape and dtype, leaving it as it was.
+def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, out: np.ndarray) -> None:
+    """Write ``amps`` left-multiplied by the 2^k x 2^k ``m`` on k ``qubits`` into
+    ``out``, a separate array of its shape and dtype, leaving ``amps`` as it was.
 
     The qubits ascend, except that a pair may come in either order; any other
     order, or a qubit outside the register, raises GateError before anything
     is written.  ``amps`` is C-contiguous with 2^n entries on its leading axis
     and an optional trailing batch axis, and m's high bit is the first qubit.
     Qubits that form one range q..q+k-1 are a single axis of ``amps`` viewed
-    as (2^q, 2^k, rest), so one matmul writes the product into ``out`` (or
-    into the spare ``work``, copied back); a range that ends on the last qubit
-    of an unbatched state is one (2^q, 2^k) @ m.T product.  Any other set is
-    viewed as (2^a, 2, 2^b, 2, ..., rest), one axis per qubit, and its slices
-    are gathered into ``work`` and multiplied into ``out`` or back.  ``work``,
-    which a call makes if it needs one and gets none, holds 1.5 states.
+    as (2^q, 2^k, rest), so one matmul writes the product into ``out``; a
+    range that ends on the last qubit of an unbatched state is one
+    (2^q, 2^k) @ m.T product.  Any other set is viewed as (2^a, 2, 2^b, 2,
+    ..., rest), one axis per qubit, and its slices are gathered into ``out``,
+    multiplied into a fresh array and scattered back into ``out``.
     """
     if len(qubits) == 2 and qubits[0] > qubits[1]:
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
@@ -257,38 +259,28 @@ def apply_matrix(amps: np.ndarray, m: np.ndarray, qubits, work=None, out=None) -
         raise GateError(f"qubits must ascend, or be a pair in either order: {tuple(qubits)}")
     if qubits[-1] >= len(amps).bit_length() - 1:
         raise GateError(f"qubits {tuple(qubits)} exceed the register of {len(amps)} amplitudes")
-    in_place = out is None
-    if not in_place and (out.shape != amps.shape or out.dtype != amps.dtype or not
-                         out.flags.c_contiguous or np.may_share_memory(amps, out)):
+    if (out.shape != amps.shape or out.dtype != amps.dtype or not out.flags.c_contiguous
+            or np.may_share_memory(amps, out)):
         raise GateError("out must be a C-contiguous array of amps's shape and dtype, apart from it")
-    is_range = qubits[-1] - qubits[0] == len(qubits) - 1  # they ascend
-    if work is None and (in_place or not is_range):
-        work = np.empty((3, amps.size // 2), amps.dtype)
     view = amps.view()
-    if is_range:
+    if qubits[-1] - qubits[0] == len(qubits) - 1:  # a range, as they ascend
         view.shape = (1 << qubits[0], len(m), -1)  # raises for a non-contiguous amps
-        product = (work.reshape(-1)[: amps.size] if in_place else out).reshape(view.shape)
+        product = out.reshape(view.shape)
         if view.shape[2] == 1:  # one large matrix product, not 2^q small ones
             np.matmul(view[..., 0], m.T, out=product[..., 0])
         else:
             np.matmul(m, view, out=product)
-        if in_place:
-            np.copyto(view, product)
         return
     shape, low = [], 0
     for q in qubits:
         shape += [1 << (q - low), 2]
         low = q + 1
     view.shape = (*shape, -1)
-    sub = view.transpose(_QUBIT_AXES_FIRST[len(qubits)])
-    target = sub if in_place else out.reshape(view.shape).transpose(_QUBIT_AXES_FIRST[len(qubits)])
-    gathered = work[:2].reshape(len(m), -1)
+    axes = _QUBIT_AXES_FIRST[len(qubits)]
+    sub, gathered = view.transpose(axes), out.reshape(len(m), -1)
     np.copyto(gathered.reshape(sub.shape), sub)
-    half = len(m) // 2
-    for bit in (0, 1):  # half the rows at a time, so work holds 1.5 states
-        product = work[2].reshape(half, -1)
-        np.matmul(m[bit * half : (bit + 1) * half], gathered, out=product)
-        np.copyto(target[bit], product.reshape(sub.shape[1:]))
+    product = m @ gathered  # the one state this path allocates
+    np.copyto(out.reshape(view.shape).transpose(axes), product.reshape(sub.shape))
 
 
 _EYE2 = np.eye(2, dtype=np.complex128)
@@ -301,7 +293,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-@functools.cache  # k <= 4 in evolve, so it holds a few dozen arrays
+@functools.cache  # k <= 4 in fuse, so it holds a few dozen arrays
 def _spread(k: int, places: tuple[int, ...]) -> np.ndarray:
     # for the 2^k x 2^k matrix that acts as some m on the qubits at places of
     # k (m's high bit first) and as the identity on the rest: the index of
@@ -320,45 +312,23 @@ def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.nd
     return np.concatenate((m.ravel(), _ZERO))[_spread(len(on), tuple(map(on.index, qubits)))]
 
 
-def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
-    """Apply ``gates`` to ``amps`` in place and, for each of the non-decreasing
-    ``marks``, yield the array after the first ``mark`` gates (a fresh array,
-    or ``amps`` itself after the last gate).
+def fuse(gates, n: int, lifted: dict | None = None) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The blocks ``(matrix, qubits)`` that apply ``gates`` on n qubits, in order.
 
     Gates fold into one open block on an ascending set of qubits.  A two-qubit
     gate that reaches outside the set grows it while the set stays a range of
     at most min(4, max(2, n-1)) of the n qubits, which ``apply_matrix`` applies
-    in one matmul; otherwise the block is applied in one state pass and a
-    block on the gate's own pair opens.  A gate inside the set folds in by a
-    small matmul with its matrix lifted onto the set, built once per call.  A
-    single-qubit gate outside the set commutes with every gate since, so its
-    product waits on its qubit and joins the block with that qubit.  Each pass
-    writes the state into one spare array, and the two swap.  A mark writes
-    the open block and the waiting products (on ranges of adjacent qubits,
-    within the same bound) from the state into a fresh snapshot, as the end
-    does into the state (copied into ``amps`` if it sits in the spare), so
-    each snapshot is bit-identical to its prefix alone.
-
-    The fold records the blocks it applies between two marks.  A later stretch
-    of the same gate objects that starts from the same open set, block bytes
-    and waiting bytes replays those blocks instead, so a repeated Trotter step
-    costs its state passes and no per-gate work.  ``memo`` is a dict that
-    keeps the lifted matrices and these records from one call to the next
-    (None: a fresh one).  Blocks do not depend on ``amps``, so a record made
-    on one state replays bit for bit on any other of the same width; a record
-    keeps its gates alive, so their ids stay unique while the memo lives.
+    in one matmul; otherwise the block is closed and a block on the gate's own
+    pair opens.  A gate inside the set folds in by a small matmul with its
+    matrix lifted onto the set.  A single-qubit gate outside the set commutes
+    with every gate since, so its product waits on its qubit and joins the
+    block with that qubit.  The last blocks are the open block and then the
+    waiting products, on ranges of adjacent qubits within the same bound.
+    ``lifted`` keeps each gate's matrix on each set of qubits from one call to
+    the next (None: a fresh dict); it does not depend on n.
     """
-    marks = list(marks)
-    if any(b < a for a, b in zip([0, *marks], [*marks, len(gates)])):
-        raise GateError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
-    n = len(amps).bit_length() - 1
     limit = min(4, max(2, n - 1))  # a block holds at most 4 qubits, and fewer than n once n >= 3
-    state, spare = amps, np.empty_like(amps)
-    memo = {} if memo is None else memo
-    lifted: dict = memo.setdefault("lifted", {})
-    # (width, stretch gate ids, entry state) -> (blocks applied, exit state, the
-    # stretch, kept so that its gates, and so the ids in the key, stay alive)
-    replays: dict = memo.setdefault("replays", {})
+    lifted = {} if lifted is None else lifted
 
     def lift(gate: Gate, on: tuple[int, ...]) -> np.ndarray:
         # the gate's matrix on on (its own qubits, or an ascending superset)
@@ -372,80 +342,65 @@ def evolve(amps: np.ndarray, gates, marks=(), memo: dict | None = None):
                 m = lifted[(gate, on)] = _embed(m, qubits, on)
         return m
 
+    blocks = []
     held, block = (), _ONE  # the open block and the qubits it holds
     waiting: dict[int, np.ndarray] = {}  # per qubit outside the block: its gates' product
+    for gate in gates:
+        qubits = gate.qubits
+        if qubits[0] in held and qubits[-1] in held:
+            block = lift(gate, held) @ block
+        elif len(qubits) == 1:
+            waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
+        else:
+            grown = tuple(sorted({*held, *qubits}))
+            # the set grows only into a range of at most limit qubits, which
+            # the kernel applies in one matmul
+            if held and (len(grown) > limit or grown[-1] - grown[0] >= len(grown)):
+                blocks.append((block, held))
+                held, block, grown = (), _ONE, tuple(sorted(qubits))
+            for q in grown:  # the joining qubits' waiting products
+                if q in waiting:
+                    block, held = _kron(block, waiting.pop(q)), held + (q,)
+            block = lift(gate, grown) @ _embed(block, held, grown)
+            held = grown
+    if held:
+        blocks.append((block, held))
+    ranges: list[list[int]] = []
+    for q in sorted(waiting):
+        if ranges and ranges[-1][-1] == q - 1 and len(ranges[-1]) < limit:
+            ranges[-1].append(q)
+        else:
+            ranges.append([q])
+    return blocks + [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
 
-    def apply(m: np.ndarray, on: tuple[int, ...]) -> None:
-        nonlocal state, spare
-        apply_matrix(state, m, on, out=spare)
-        state, spare = spare, state
 
-    def pending() -> list:
-        # the open block, then the waiting products on ranges of at most limit
-        # qubits, so that every one takes the kernel's one-matmul path
-        ranges: list[list[int]] = []
-        for q in sorted(waiting):
-            if ranges and ranges[-1][-1] == q - 1 and len(ranges[-1]) < limit:
-                ranges[-1].append(q)
-            else:
-                ranges.append([q])
-        waits = [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
-        return [(block, held), *waits] if held else waits
+def fuse_segments(segments, memo: dict | None = None) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
+    """Each program's ``fuse`` blocks on its register, each program object
+    fused once.  ``memo`` is a dict that keeps the blocks of every program and
+    the lifted gate matrices from one call to the next (None: a fresh one)."""
+    memo = {} if memo is None else memo
+    lifted, fused = memo.setdefault("lifted", {}), memo.setdefault("fused", {})
+    for program in segments:
+        if id(program) not in fused:  # the entry keeps the program, so its id stays unique
+            fused[id(program)] = program, fuse(program.gates, program.num_qubits, lifted)
+    return [fused[id(program)][1] for program in segments]
 
-    inner = [m for m in marks if m < len(gates)]
-    start = 0
-    for stop in [*inner, len(gates)]:
-        if stop > start:
-            stretch = gates[start:stop]
-            key = (
-                n, tuple(map(id, stretch)), held, block.tobytes(),
-                tuple((q, m.tobytes()) for q, m in sorted(waiting.items())),
-            )
-            if key in replays:
-                applied, (held, block, waiting), _ = replays[key]
-                waiting = dict(waiting)
-                for m, on in applied:
-                    apply(m, on)
-            else:
-                applied = []
-                for gate in stretch:
-                    qubits = gate.qubits
-                    if qubits[0] in held and qubits[-1] in held:
-                        block = lift(gate, held) @ block
-                    elif len(qubits) == 1:
-                        waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
-                    else:
-                        grown = tuple(sorted({*held, *qubits}))
-                        # the set grows only into a range of at most limit
-                        # qubits, which the kernel applies in one matmul
-                        if held and (len(grown) > limit or grown[-1] - grown[0] >= len(grown)):
-                            apply(block, held)
-                            applied.append((block, held))
-                            held, block, grown = (), _ONE, tuple(sorted(qubits))
-                        for q in grown:  # the joining qubits' waiting products
-                            if q in waiting:
-                                block, held = _kron(block, waiting.pop(q)), held + (q,)
-                        block = lift(gate, grown) @ _embed(block, held, grown)
-                        held = grown
-                replays[key] = applied, (held, block, dict(waiting)), stretch
-            start = stop
-        if stop < len(gates):
-            products, snapshot = pending(), np.empty_like(state)
-            # the products alternate through the spare so that the last lands in the snapshot
-            source, target = state, (snapshot, spare)[len(products) % 2 == 0]
-            for m, on in products:
-                apply_matrix(source, m, on, out=target)
-                source, target = target, (snapshot, spare)[target is snapshot]
-            if not products:
-                np.copyto(snapshot, state)
-            yield snapshot
-            del snapshot, source, target  # only the caller holds it while the next stretch runs
-    for m, on in pending():
-        apply(m, on)
-    if state is not amps:
-        np.copyto(amps, state)
-    for _ in marks[len(inner):]:  # these all equal len(gates)
-        yield amps
+
+def evolve(amps: np.ndarray, block_lists):
+    """Apply each list of ``fuse`` blocks in turn to ``amps`` and yield the
+    state after each list.
+
+    Each block is one pass that writes the state into one spare array, and
+    the two swap, so the state yielded is ``amps`` or the spare, whichever
+    the last pass wrote; the next list overwrites it.  Blocks do not depend
+    on the state, so a list fused once applies to any state of its width.
+    """
+    state, spare = amps, np.empty_like(amps)
+    for blocks in block_lists:
+        for m, on in blocks:
+            apply_matrix(state, m, on, spare)
+            state, spare = spare, state
+        yield state
 
 
 def program_unitary(program: Program) -> np.ndarray:
@@ -460,7 +415,7 @@ def program_unitary(program: Program) -> np.ndarray:
         raise GateError(
             f"program_unitary supports at most {MAX_UNITARY_QUBITS} qubits, got {n}"
         )
-    (u,) = evolve(np.eye(1 << n, dtype=np.complex128), program.gates, [len(program)])
+    (u,) = evolve(np.eye(1 << n, dtype=np.complex128), [fuse(program.gates, n)])
     return u
 
 

@@ -21,8 +21,8 @@ substituted nodes and their neighbours on each wire.  Each pass visits, in
 list order, only the nodes dirtied since it last ran, so a round costs what
 the rounds before it changed (Nam et al., npj QI 4, 23, 2018).  A memo, one
 per run, holds each distinct source gate's lowering and single-qubit run's
-synthesis and the check's fold, so the step segments of a run and its
-simulation share that work.  Gates made here
+synthesis and each segment's fused blocks, so the step segments of a run
+and its simulation share that work.  Gates made here
 are built by ``Gate._trusted``: their angles are Python floats from valid
 gates, ``_wrap`` or ``_zyz_angles``, and their qubits those of a valid gate.
 """
@@ -30,14 +30,13 @@ gates, ``_wrap`` or ``_zyz_angles``, and their qubits those of a valid gate.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Gate, GateCounts, GateKind, Program, evolve, gate_counts, gate_matrix
-from .circuits import program_unitary  # noqa: F401 - wrapped here by perfbench/tracing.py
+from .circuits import Gate, GateCounts, GateKind, Program, evolve, fuse_segments, gate_counts
+from .circuits import gate_matrix, program_unitary  # noqa: F401 - perfbench wraps program_unitary here
 from .config import MAX_QUBITS
 
 PI = math.pi
@@ -76,18 +75,6 @@ class NativeTarget(enum.Enum):
             return cls(name.lower())
         except ValueError:
             raise CompileError(f"unknown compilation target {name!r}") from None
-
-    def allows(self, gate: Gate) -> bool:
-        if self is NativeTarget.IBM:
-            return gate.kind in (GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CNOT)
-        if gate.kind is GateKind.RX:
-            return _rx_native(gate.angles[0])
-        return gate.kind in (GateKind.RZ, GateKind.CZ)
-
-
-def conforms(program: Program, target: NativeTarget) -> bool:
-    """Whether every gate of the program is native to the target."""
-    return all(target.allows(g) for g in program.gates)
 
 
 def _wrap(angle: float) -> float:
@@ -589,34 +576,31 @@ def _compile_one(program: Program, target: NativeTarget, mode: str, memo: dict) 
 def _check(sources, compiled, memo: dict) -> list[float]:
     """Per segment, the worst overlap |<source|compiled>| on CHECK_STATES states.
 
-    Each seeded Haar-random state runs through the source segments end to end
-    and through the compiled ones, one ``evolve`` per side with a mark after
-    each segment.  At mark k, with o_c the overlap on state c and phi =
+    Each seeded Haar-random state runs through the source segments end to
+    end and through the compiled ones, one ``evolve`` per side over the
+    segments' blocks, each segment fused once per run, read after each
+    segment.  After segment k, with o_c the overlap on state c and phi =
     o_0/|o_0|, each ||compiled_c - phi source_c|| must be at most CHECK_TOL.
     That 2-norm moves to first order in a gate's error, where 1 - |o_c| moves
     to second order (Burgholzer & Wille, IEEE TCAD 40(9), 2021).
     """
-    sides = [
-        (tuple(g for p in programs for g in p.gates), list(itertools.accumulate(map(len, programs))))
-        for programs in (sources, compiled)
-    ]
+    sides = [fuse_segments(programs, memo) for programs in (sources, compiled)]
     rng = np.random.default_rng(CHECK_SEED)
     phases, worst = [], [1.0] * len(sources)
-    for c in range(CHECK_STATES):  # one state at a time, the second replaying the first's fold
+    for c in range(CHECK_STATES):  # one state at a time
         state = rng.standard_normal(2 << sources[0].num_qubits).view(np.complex128)
         state /= np.linalg.norm(state)
-        src_side, out_side = (evolve(s, *side, memo) for s, side in zip((state.copy(), state), sides))
-        for k in range(len(sources)):
-            src, out = next(src_side), next(out_side)
+        diff = np.empty_like(state)
+        pairs = zip(evolve(state.copy(), sides[0]), evolve(state, sides[1]))
+        for k, (src, out) in enumerate(pairs):
             overlap = np.vdot(src, out)
             if c == 0:  # a zero overlap leaves the residual at sqrt(2)
                 phases.append(overlap / abs(overlap) if overlap else 1.0)
-            diff = np.multiply(src, phases[k])
+            np.multiply(src, phases[k], out=diff)
             residual = float(np.linalg.norm(np.subtract(out, diff, out=diff)))
             if not residual <= CHECK_TOL:  # NaN fails too
                 raise CompileError(f"compiled segment {k} differs from its source: {residual=:.3e}")
             worst[k] = min(worst[k], float(abs(overlap)))
-            src = out = diff = None  # free them before the next snapshots
     return worst
 
 
@@ -631,9 +615,9 @@ def compile_segments(
     call to the next: each distinct source gate's lowering, each distinct
     single-qubit run's synthesis (kept even when it is not shorter) and each
     distinct gate's matrix in a run, keyed by whole gates so that a hit
-    returns exactly what the work would, and the check's fold (see
-    ``evolve``).  Pass one fresh dict to the compilations and the simulation
-    of one run and drop it with the run.
+    returns exactly what the work would, and each segment's fused blocks
+    (see ``fuse_segments``).  Pass one fresh dict to the compilations and
+    the simulation of one run and drop it with the run.
     """
     if mode not in ("generic", "domain_specific"):
         raise CompileError(f"unknown compile mode {mode!r}")

@@ -8,11 +8,11 @@ sampled series draws each circuit's samples from its own stream, spawned from
 the run seed, so no two circuits or seeds share one; a noisy series draws its
 trajectories from one generator on the run seed.
 
-Every mode moves a state only through ``circuits.evolve`` (gates fused into
+Every mode moves a state only through ``circuits.evolve``: gates fused into
 blocks on ranges of up to four qubits, each one matmul from the state into a
-spare, a repeated step replayed from its recorded blocks), which runs the
-series program once and writes a snapshot at every step mark.  A noisy shot
-is the program with its drawn Paulis spliced in, run the same way.  Every
+spare.  An exact or sampled series fuses each distinct step segment once and
+reads the state after each step.  A noisy run fuses each interval between
+its marks once, and per shot only the intervals its drawn Paulis hit.  Every
 site's <sigma^z>, and each row's sum, comes from one pairwise-halving pass
 over a batch of rows: the probabilities of many marks in exact mode (a sum
 off 1 by over 1e-10 is refused), shot counts in sampled and noisy mode.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .circuits import Gate, Program, apply_matrix, evolve, gate_matrix, make_gate
+from .circuits import Gate, Program, apply_matrix, evolve, fuse, fuse_segments, gate_matrix, make_gate
 from .config import register_problems, spin_bit
 
 if TYPE_CHECKING:
@@ -74,19 +74,20 @@ def init_state(num_qubits: int, initial_spins: Sequence[str] | None = None) -> S
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """One gate on a copy of the state, through the in-place kernel."""
+    """One gate on the state, written by the kernel into a fresh array."""
     n = state.num_qubits
     if any(q >= n for q in gate.qubits):
         raise SimulationError(f"gate on {gate.qubits} exceeds {n} qubit register")
-    amps = state.amplitudes.copy()
-    apply_matrix(amps, gate_matrix(gate), gate.qubits)
-    return StateVector(n, amps)
+    amps = np.ascontiguousarray(state.amplitudes)
+    out = np.empty_like(amps)
+    apply_matrix(amps, gate_matrix(gate), gate.qubits, out)
+    return StateVector(n, out)
 
 
 def run_statevector(program: Program, initial_spins: Sequence[str] | None = None) -> StateVector:
     """Run the whole program from the given product state."""
     amps = init_state(program.num_qubits, initial_spins).amplitudes
-    (final,) = evolve(amps, program.gates, [len(program)])
+    (final,) = evolve(amps, [fuse(program.gates, program.num_qubits)])
     return StateVector(program.num_qubits, final)
 
 
@@ -154,41 +155,47 @@ def run_noisy(
     """Monte Carlo Pauli-noise sampling: one trajectory per shot, read at every mark.
 
     Returns ``counts[i, b]``, how many shots measured basis state b after the
-    first ``marks[i]`` gates; each row sums to ``shots``.  Each shot starts
-    from |0...0> and draws from one generator on ``seed``, in this order: one
+    first ``marks[i]`` gates; each row sums to ``shots``.  The marks must not
+    decrease and must lie in [0, len(program)].  Each shot starts from
+    |0...0> and draws from one generator on ``seed``, in this order: one
     uniform per (gate, touched qubit) in program order, a hit when below p1
     (single-qubit gate) or p2; one Pauli (X, Y or Z) per hit; one uniform per
-    mark.  The hit Paulis are spliced in after their gates, the shot runs once
-    through ``evolve`` with the marks shifted by the splices before them, and
-    each snapshot is measured by inverse CDF with its mark's uniform.
+    mark.  The gates between two marks are fused once per run; a shot fuses
+    anew only the intervals it hits, with the Paulis spliced in after their
+    gates.  It runs the intervals through ``evolve`` and measures the state
+    after each by inverse CDF with its mark's uniform.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    n, gates, marks = program.num_qubits, program.gates, np.asarray(marks, dtype=np.intp)
+    n, gates, marks = program.num_qubits, program.gates, list(map(int, marks))
+    bounds = [0, *marks]
+    if any(b < a for a, b in zip(bounds, marks)) or marks and marks[-1] > len(gates):
+        raise SimulationError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
     # per (gate, touched qubit): the gate's index, the qubit, its error probability
     owner = np.array([i for i, g in enumerate(gates) for _ in g.qubits], dtype=np.intp)
     touched = [q for g in gates for q in g.qubits]
     p = np.array([noise.p1 if len(g.qubits) == 1 else noise.p2 for g in gates for _ in g.qubits])
     paulis = [[make_gate(kind, [q]) for kind in "xyz"] for q in range(n)]
-    lifted: dict = {}  # the gate matrices every shot shares; each keeps its own replays
+    lifted: dict = {}  # the gate matrices every fusion shares
+    clean = [fuse(gates[a:b], n, lifted) for a, b in zip(bounds, marks)]  # each interval, hit-free
     initial = init_state(n).amplitudes
     counts = np.zeros((len(marks), len(initial)), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for _ in range(shots):
         hits = np.flatnonzero(rng.random(len(p)) < p)
-        kinds = rng.integers(3, size=len(hits))
+        kinds = rng.integers(3, size=len(hits)).tolist()
         draws = rng.random(len(marks))
-        spliced, start = [], 0
-        for h, kind in zip(hits.tolist(), kinds.tolist()):
-            stop = owner[h] + 1
-            spliced += gates[start:stop]
-            spliced.append(paulis[touched[h]][kind])
-            start = stop
-        spliced += gates[start:]
-        shifted = marks + np.searchsorted(owner[hits], marks)  # hits on gates before each mark
-        snapshots = evolve(initial.copy(), spliced, shifted.tolist(), {"lifted": lifted})
-        for row, snapshot, u in zip(counts, snapshots, draws):
-            cdf = np.cumsum(np.abs(snapshot) ** 2)
+        after = owner[hits]  # the gate each hit follows
+        cuts = [0, *np.searchsorted(after, marks).tolist()]  # the hits before each mark
+        after, hits, intervals = after.tolist(), hits.tolist(), []
+        for j, (start, stop) in enumerate(zip(bounds, marks)):
+            spliced = []
+            for i in range(cuts[j], cuts[j + 1]):
+                spliced += [*gates[start : after[i] + 1], paulis[touched[hits[i]]][kinds[i]]]
+                start = after[i] + 1
+            intervals.append(fuse([*spliced, *gates[start:stop]], n, lifted) if spliced else clean[j])
+        for row, state, u in zip(counts, evolve(initial.copy(), intervals), draws):
+            cdf = np.cumsum(np.abs(state) ** 2)
             row[min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)] += 1
     return counts
 
@@ -223,12 +230,13 @@ def simulate_series(
     """Run every circuit of a circuit series and collect magnetizations.
 
     The series program already contains the state-preparation gates, so
-    execution always starts from the all-zero state.  Circuit k is the prefix
-    of the program up to mark k, so the program runs once and the state is
-    read at every mark; a step that repeats a segment's gates from the same
-    fuser state is replayed.  ``memo`` is passed to ``evolve``, so a run's
-    memo replays the blocks that the compiler's check fused on the same
-    compiled segments; a noisy series splices each shot anew and ignores it.
+    execution always starts from the all-zero state.  Circuit k adds one step
+    segment to circuit k-1, so each distinct segment is fused once, the
+    segments run once in order and the state is read after each; the state
+    of circuit k is bit-identical to running its segments alone.  ``memo``
+    is passed to ``fuse_segments``, so a run's memo reuses the blocks that
+    the compiler's check fused for the same compiled segments; a noisy
+    series ignores it.
 
     plan.shots == 0 selects exact expectation values.  Otherwise each circuit
     is sampled with ``plan.shots`` shots, circuit k from the k-th stream that
@@ -245,15 +253,15 @@ def simulate_series(
         size = max(1, min(len(marks), _BATCH_ENTRIES >> n))  # marks read per halving pass
         batch = np.empty((size, 1 << n), np.int64 if shots else float)
         values = np.empty((len(marks), n))
-        snapshots = evolve(init_state(n).amplitudes, series.program.gates, marks, memo)
+        blocks = fuse_segments(series.segments, memo)
+        states = evolve(init_state(n).amplitudes, [blocks[k] for k in series.order])
         for first in range(0, len(marks), len(batch)):
             rows = batch[: len(marks) - first]
-            # next(snapshots) in place: nothing holds a snapshot while the next one is written
-            for index, row in enumerate(rows, first):
+            for index, row in enumerate(rows, first):  # each state is read before the next
                 if shots:
-                    row[:] = sample_counts(StateVector(n, next(snapshots)), shots, streams[index])
+                    row[:] = sample_counts(StateVector(n, next(states)), shots, streams[index])
                 else:
-                    np.abs(next(snapshots), out=row)
+                    np.abs(next(states), out=row)
                     row *= row
             values[first : first + len(rows)], norms = _z_expectations(rows, shots or 1.0)
             for index, norm in enumerate(() if shots else norms.tolist(), first):

@@ -74,9 +74,10 @@ def compile_series(
 
     Each step segment is compiled on its own, so no rewrite crosses a step
     mark and every compiled circuit is the compiled prefix of its source;
-    one ``compile_segments`` call checks them all.  ``memo`` is the run's
-    memo (see ``compile_segments``), or None for one that lives as long as
-    this call.  A repeated step reuses its segment's compiled program and
+    one ``compile_segments`` call checks them all, fusing each segment once.
+    ``memo`` is the run's memo (see ``compile_segments``), which passes those
+    blocks on to the simulation, or None for one that lives as long as this
+    call.  A repeated step reuses its segment's compiled program and
     report, so the reports hold one entry per step.
     """
     if config.compile_mode == "none":
@@ -135,7 +136,7 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
     circuits = generate_circuits(build_model(config), plan)
     timings.append(("generate", time.perf_counter() - started))
 
-    memo: dict = {}  # the run's compile tables and fold, shared by compile and simulate
+    memo: dict = {}  # the run's compile tables and fused segments, shared by compile and simulate
     started = time.perf_counter()
     circuits, reports = compile_series(circuits, config, memo)
     timings.append(("compile", time.perf_counter() - started))

@@ -153,6 +153,20 @@ def noisy_trajectory_oracle(program: Program, marks, shots: int, p1: float, p2: 
     return counts
 
 
+def allows(target: compiler.NativeTarget, gate) -> bool:
+    """Whether the gate is native to the target (RIGETTI RX only at +-pi/2 or +-pi)."""
+    if target is compiler.NativeTarget.IBM:
+        return gate.kind in (GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CNOT)
+    if gate.kind is GateKind.RX:
+        return compiler._rx_native(gate.angles[0])
+    return gate.kind in (GateKind.RZ, GateKind.CZ)
+
+
+def conforms(program: Program, target: compiler.NativeTarget) -> bool:
+    """Whether every gate of the program is native to the target."""
+    return all(allows(target, g) for g in program.gates)
+
+
 def on_list(pass_fn):
     """A compiler pass as a function from a gate list to the list it leaves.
 

@@ -16,7 +16,6 @@ from spinchain import (
     NativeTarget,
     SimulationPlan,
     compile_program,
-    conforms,
     ds_compile,
     emit_program,
     exact_evolution,
@@ -28,7 +27,7 @@ from spinchain import (
     simulate_series,
 )
 from spinchain.cli import main
-from helpers import programs_structurally_equal, random_program
+from helpers import conforms, programs_structurally_equal, random_program
 
 
 def _announce(capsys, number: int, ok: bool, detail: str) -> None:

@@ -23,7 +23,7 @@ from spinchain import (
     run_statevector,
 )
 from spinchain import circuits
-from spinchain.circuits import apply_matrix, evolve
+from spinchain.circuits import apply_matrix, evolve, fuse, fuse_segments
 from spinchain.workflow import prepare_circuits
 from helpers import dense_gate_oracle, random_program, unitary_equivalent
 
@@ -195,13 +195,10 @@ def test_apply_matrix_matches_enumeration_oracle(n, batch):
         for m in (_random_unitary(rng, dim), phases):  # dense and diagonal matrices
             amps = rng.normal(size=(1 << n, *batch)) + 1j * rng.normal(size=(1 << n, *batch))
             expected = dense_gate_oracle(m, qubits, n) @ amps
-            source, out = amps.copy(), np.empty_like(amps)
-            apply_matrix(amps, m, qubits)
-            assert np.max(np.abs(amps - expected)) <= 1e-12
-            # out of place: the same bits in out, and the source as it was
-            before = source.copy()
-            apply_matrix(source, m, qubits, out=out)
-            assert np.array_equal(out, amps) and np.array_equal(source, before)
+            before, out = amps.copy(), np.empty_like(amps)
+            apply_matrix(amps, m, qubits, out)
+            assert np.max(np.abs(out - expected)) <= 1e-12
+            assert np.array_equal(amps, before)  # the source as it was
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
@@ -228,14 +225,14 @@ def test_apply_matrix_rejects_an_out_it_cannot_write(batch):
 def test_apply_matrix_rejects_qubits_out_of_order():
     rng = np.random.default_rng(7)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    before = amps.copy()
+    before, out = amps.copy(), np.zeros_like(amps)
     for k in (3, 4):
         m = _random_unitary(rng, 1 << k)
         for qubits in itertools.product(range(4), repeat=k):
             if any(b <= a for a, b in zip(qubits, qubits[1:])):
                 with pytest.raises(GateError, match=re.escape(str(qubits))):
-                    apply_matrix(amps, m, qubits)
-                assert np.array_equal(amps, before)
+                    apply_matrix(amps, m, qubits, out)
+                assert np.array_equal(amps, before) and not out.any()
 
 
 @pytest.mark.parametrize("batch", [(), (2,)])
@@ -244,50 +241,95 @@ def test_apply_matrix_rejects_qubits_outside_the_register(batch):
     # X on it would swap the two columns
     rng = np.random.default_rng(8)
     amps = rng.normal(size=(16, *batch)) + 1j * rng.normal(size=(16, *batch))
-    before = amps.copy()
+    before, out = amps.copy(), np.zeros_like(amps)
     for qubits in ((4,), (5,), (3, 4), (4, 0), (0, 2, 4), (1, 2, 3, 4)):
         m = _random_unitary(rng, 1 << len(qubits))
         with pytest.raises(GateError, match="exceed the register"):
-            apply_matrix(amps, m, qubits)
-        assert np.array_equal(amps, before)
-    apply_matrix(amps, _random_unitary(rng, 2), (3,))  # the last qubit is inside
-    assert not np.array_equal(amps, before)
+            apply_matrix(amps, m, qubits, out)
+        assert np.array_equal(amps, before) and not out.any()
+    apply_matrix(amps, _random_unitary(rng, 2), (3,), out)  # the last qubit is inside
+    assert out.any() and not np.array_equal(out, before)
 
 SINGLE_QUBIT_KINDS = tuple(k for k in GateKind if k.num_qubits == 1)
+
+
+def _cut(gates, marks):
+    """The stretches of ``gates`` between 0 and each of the non-decreasing marks."""
+    return [tuple(gates[a:b]) for a, b in zip([0, *marks], marks)]
+
+
+def _start(n):
+    """A state with every amplitude's phase in play: a product state, then H."""
+    start = init_state(n, ["down" if q % 2 else "up" for q in range(n)])
+    return apply_gate(start, make_gate("h", [0])).amplitudes
+
+
+def _run(start, stretches, n):
+    """The state after each stretch, each stretch fused alone, copied as yielded."""
+    return [s.copy() for s in evolve(start.copy(), [fuse(g, n) for g in stretches])]
+
+
+def _gate_by_gate(amps, gates):
+    for gate in gates:
+        out = np.empty_like(amps)
+        apply_matrix(amps, gate_matrix(gate), gate.qubits, out)
+        amps = out
+    return amps
+
+
+def _assert_each_state_is_its_stretches_alone(stretches, n, sample=1):
+    """Each state after a stretch is bit-identical to running the stretches up
+    to it alone (every sample-th one), and within 1e-12 of the gate-by-gate
+    oracle."""
+    start = _start(n)
+    states = _run(start, stretches, n)
+    assert len(states) == len(stretches)
+    oracle = start
+    for k, state in enumerate(states):
+        if k % sample == 0 or k == len(states) - 1:
+            assert np.array_equal(state, _run(start, stretches[: k + 1], n)[-1])
+        oracle = _gate_by_gate(oracle, stretches[k])
+        assert np.max(np.abs(state - oracle)) <= 1e-12
+    return states
 
 
 def test_evolve_snapshots_equal_each_prefix_alone():
     rng = np.random.default_rng(17)
     cases = []
-    # n=1 gates all wait on their qubit; n=2 two-qubit gates share one pair, so
-    # marks after the first of them fall inside one open block
+    # n=1 gates all wait on their qubit; n=2 two-qubit gates share one pair,
+    # so a stretch can end inside one open block; repeated marks give empty
+    # stretches
     for n in (1, 2, 3, 4, 5):
         program = random_program(rng, n, 40)
         marks = sorted([0, 0, 40, 40, *(int(m) for m in rng.integers(0, 41, size=8))])
         cases.append((program, marks))
-    # mostly single-qubit gates, which wait off the open pair; a mark at every
-    # gate, so marks fall between waiting gates
+    # mostly single-qubit gates, which wait off the open pair; stretches of
+    # one to three gates, so they end between waiting gates
     for n in (1, 3, 4, 5):
         kinds = SINGLE_QUBIT_KINDS * 4 + (GateKind.CNOT, GateKind.CZ)
-        cases.append((random_program(rng, n, 60, kinds), [0, *range(61), 60]))
-    # one pair all along: more than a thousand marks inside a single run
+        marks = sorted({*rng.integers(0, 61, size=30).tolist(), 60})
+        cases.append((random_program(rng, n, 60, kinds), marks))
+    # one pair all along: more than a thousand stretches of one gate
     cases.append((random_program(rng, 2, 1200), list(range(1201))))
     for program, marks in cases:
-        n = program.num_qubits
-        start = init_state(n, ["down" if i % 2 else "up" for i in range(n)])
-        start = apply_gate(start, make_gate("h", [0]))
-        snapshots = list(evolve(start.amplitudes.copy(), program.gates, marks))
-        assert len(snapshots) == len(marks)
-        state, applied = start, 0
-        for count, (mark, snapshot) in enumerate(zip(marks, snapshots)):
-            # each prefix alone costs O(mark): sample the 1,201-mark case
-            if len(marks) < 100 or count % 50 == 0 or mark == marks[-1]:
-                (alone,) = evolve(start.amplitudes.copy(), program.gates[:mark], [mark])
-                assert np.array_equal(snapshot, alone)
-            for gate in program.gates[applied:mark]:
-                state = apply_gate(state, gate)
-            applied = mark
-            assert np.max(np.abs(snapshot - state.amplitudes)) <= 1e-12
+        stretches = _cut(program.gates, marks)
+        # each prefix alone costs O(mark): sample the 1,201-stretch case
+        _assert_each_state_is_its_stretches_alone(stretches, program.num_qubits, 1 + len(marks) // 25)
+
+
+def test_evolve_yields_the_live_state_of_amps_or_its_spare():
+    rng = np.random.default_rng(4)
+    program = random_program(rng, 3, 12)
+    blocks = fuse(program.gates, 3)
+    amps = init_state(3).amplitudes
+    states = evolve(amps, [blocks, blocks[:1], []])
+    # each block is one pass from one array into the other, and no copy is made
+    first = next(states)
+    assert (first is amps) == (len(blocks) % 2 == 0)
+    assert np.max(np.abs(first - program_unitary(program)[:, 0])) <= 1e-12
+    second = next(states)
+    assert (second is amps) == (len(blocks) % 2 == 1)
+    assert next(states) is second  # an empty list leaves the state where it is
 
 
 def _chain_series(n: int, steps: int):
@@ -333,18 +375,19 @@ def _far_pair_program(rng, n: int) -> Program:
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_evolve_wide_block_snapshots_equal_each_prefix_alone(n):
     rng = np.random.default_rng(40 + n)
-    for program in (_chain_program(n, 1), _far_pair_program(rng, n)):
-        marks = list(range(len(program) + 1))  # a mark at every gate
-        _assert_each_snapshot_is_its_prefix_alone(program.gates, marks, n)
+    for program in (_chain_program(n, 2), _far_pair_program(rng, n)):
+        for every in (len(program), 7, 1):  # the whole program, then shorter stretches
+            marks = [*range(every, len(program), every), len(program)]
+            _assert_each_state_is_its_stretches_alone(_cut(program.gates, marks), n)
 
 
 def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeypatch):
     applied = []
 
-    def recording(amps, m, qubits, *args, **kwargs):
+    def recording(amps, m, qubits, out):
         assert len(m) == 1 << len(qubits)
         applied.append(tuple(qubits))
-        apply_matrix(amps, m, qubits, *args, **kwargs)
+        apply_matrix(amps, m, qubits, out)
 
     def is_range(qubits):
         return qubits == tuple(range(qubits[0], qubits[0] + len(qubits)))
@@ -358,7 +401,7 @@ def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeyp
             programs += [(_chain_program(n, 3), True), (_far_pair_program(rng, n), False)]
         for program, chain in programs:
             applied.clear()
-            list(evolve(init_state(n).amplitudes, program.gates, range(0, len(program), 7)))
+            _run(init_state(n).amplitudes, _cut(program.gates, range(0, len(program), 7)), n)
             program_unitary(program)
             widths += map(len, applied)
             # a chain's blocks are all ranges, which the kernel applies in one matmul
@@ -368,7 +411,8 @@ def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeyp
         assert n < 3 or max(widths) < n
     series = _chain_series(16, 3)
     applied.clear()
-    list(evolve(init_state(16).amplitudes, series.program.gates, series.step_ends))
+    blocks = fuse_segments(series.segments)
+    list(evolve(init_state(16).amplitudes, [blocks[k] for k in series.order]))
     assert max(map(len, applied)) == 4 and all(map(is_range, applied))
 
 
@@ -386,72 +430,22 @@ def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):
     assert len(built) < len(program) // 100
 
 
-def test_evolve_in_place_and_mark_checks():
-    rng = np.random.default_rng(4)
-    program = random_program(rng, 3, 12)
-    amps = init_state(3).amplitudes
-    (final,) = evolve(amps, program.gates, [12])
-    assert np.array_equal(amps, final)
-    assert np.allclose(final, program_unitary(program)[:, 0], atol=1e-12)
-    for bad in ([3, 2], [-1], [13]):
-        with pytest.raises(GateError):
-            list(evolve(amps, program.gates, bad))
+def _count_fused_gates(monkeypatch):
+    """Per ``fuse`` call as ``fuse_segments`` looks it up, the gates fused."""
+    fused = []
+
+    def counted(gates, *args):
+        fused.append(len(gates))
+        return fuse(gates, *args)
+
+    monkeypatch.setattr(circuits, "fuse", counted)
+    return fused
 
 
-class _Watched:
-    """A gate that counts in ``reads[0]`` how often its ``qubits`` are read."""
-
-    def __init__(self, gate, reads):
-        self.kind, self.angles, self._qubits = gate.kind, gate.angles, gate.qubits
-        self._reads = reads
-
-    @property
-    def qubits(self):
-        self._reads[0] += 1
-        return self._qubits
-
-
-def _watched_run(n, gates, marks):
-    """Snapshots of ``gates`` through ``evolve`` and how often the fold read a gate."""
-    # one watcher per distinct gate object, so repeated objects stay repeated
-    reads, watchers = [0], {}
-    watched = tuple(watchers.setdefault(id(g), _Watched(g, reads)) for g in gates)
-    return list(evolve(init_state(n).amplitudes, watched, marks)), reads[0]
-
-
-def _assert_each_snapshot_is_its_prefix_alone(gates, marks, n):
-    start = init_state(n, ["down" if q % 2 else "up" for q in range(n)])
-    start = apply_gate(start, make_gate("h", [0])).amplitudes
-    snapshots = list(evolve(start.copy(), gates, marks))
-    assert len(snapshots) == len(marks)
-    for mark, snapshot in zip(marks, snapshots):
-        (alone,) = evolve(start.copy(), gates[:mark], [mark])
-        assert np.array_equal(snapshot, alone)
-    state = start.copy()
-    for gate in gates[: marks[-1]]:
-        apply_matrix(state, gate_matrix(gate), gate.qubits)
-    assert np.max(np.abs(snapshots[-1] - state)) <= 1e-12
-    return snapshots
-
-
-def _repeat(segments, order):
-    gates, marks = [], []
-    for k in order:
-        gates += segments[k].gates
-        marks.append(len(gates))
-    return tuple(gates), marks
-
-
-def test_evolve_replays_alternating_segments_exactly():
-    rng = np.random.default_rng(23)
-    a, b = random_program(rng, 4, 30), random_program(rng, 4, 30)
-    reads = []
-    for repeats in (3, 6):
-        gates, marks = _repeat((a, b), (0, 1) * repeats)
-        _assert_each_snapshot_is_its_prefix_alone(gates, marks, 4)
-        reads.append(_watched_run(4, gates, marks)[1])
-    # the fold reads each gate of the first stretches; the later ones replay
-    assert reads[0] == reads[1] < len(gates)
+def _run_series(start, segments, order, memo=None):
+    """The state after each step, each distinct segment fused once, copied as yielded."""
+    blocks = fuse_segments(segments, memo)
+    return [s.copy() for s in evolve(start.copy(), [blocks[k] for k in order])]
 
 
 def _random_gate_on(rng, qubit, kinds):
@@ -459,20 +453,29 @@ def _random_gate_on(rng, qubit, kinds):
     return make_gate(kind, [qubit], rng.uniform(-np.pi, np.pi, kind.num_angles))
 
 
-def test_evolve_replay_keys_on_the_carried_in_state():
-    rng = np.random.default_rng(29)
-    # n=1: every gate waits on qubit 0, so the waiting product grows every
-    # stretch and the same gates never enter with the same state
+def test_evolve_replays_alternating_segments_exactly(monkeypatch):
+    rng = np.random.default_rng(23)
+    a, b = random_program(rng, 4, 30), random_program(rng, 4, 30)
+    # n=1: every gate waits on qubit 0; n=3: qubit 2 only ever sees
+    # single-qubit gates, and the others share pairs
     one = random_program(rng, 1, 5)
-    gates, marks = _repeat((one,), (0,) * 12)
-    _assert_each_snapshot_is_its_prefix_alone(gates, marks, 1)
-    # qubit 2 only ever sees single-qubit gates; the others share pairs
     kinds = (GateKind.H, GateKind.RX, GateKind.RZ, GateKind.U3)
     pairs = [make_gate("cnot", [0, 1]), make_gate("cz", [1, 0])]
     gates = [_random_gate_on(rng, q, kinds) for q in (0, 2, 1, 2)] + pairs
-    segment = Program(3, tuple(gates) + (_random_gate_on(rng, 2, kinds),))
-    gates, marks = _repeat((segment,), (0,) * 8)
-    _assert_each_snapshot_is_its_prefix_alone(gates, marks, 3)
+    waiting = Program(3, tuple(gates) + (_random_gate_on(rng, 2, kinds),))
+    for segments, unit in (((a, b), (0, 1)), ((one,), (0,)), ((waiting,), (0,))):
+        n = segments[0].num_qubits
+        fused = []
+        for repeats in (3, 6):
+            order = unit * repeats
+            stretches = [segments[k].gates for k in order]
+            expected = _assert_each_state_is_its_stretches_alone(stretches, n)
+            fused.append(_count_fused_gates(monkeypatch))
+            replayed = _run_series(_start(n), segments, order)
+            monkeypatch.undo()
+            assert all(np.array_equal(x, y) for x, y in zip(expected, replayed, strict=True))
+        # each distinct segment is fused once, however often it repeats
+        assert fused[0] == fused[1] == [len(p) for p in segments]
 
 
 def _constant_field_series(n, steps, compiled=False):
@@ -488,26 +491,29 @@ def _constant_field_series(n, steps, compiled=False):
 def test_evolve_replays_a_compiled_constant_field_series_exactly():
     series = _constant_field_series(4, 10, compiled=True)
     assert len(series.segments) == 2
-    _assert_each_snapshot_is_its_prefix_alone(series.program.gates, list(series.step_ends), 4)
+    stretches = [series.segment(k).gates for k in range(len(series))]
+    expected = _assert_each_state_is_its_stretches_alone(stretches, 4)
+    replayed = _run_series(_start(4), series.segments, series.order)
+    assert all(np.array_equal(x, y) for x, y in zip(expected, replayed, strict=True))
 
 
-def test_evolve_fold_work_does_not_grow_with_repeated_steps():
-    # at n=8 each step's last block, (6, 7), grows into the next step's (0, 1, 6, 7)
+def test_evolve_fold_work_does_not_grow_with_repeated_steps(monkeypatch):
+    # at n=8 each step's last block is (6, 7), and the next step's first (0, 1)
     for n in (5, 8):
-        reads = []
+        fused = []
         for steps in (40, 160):
             series = _constant_field_series(n, steps)
-            marks = list(series.step_ends)
-            plain = list(evolve(init_state(n).amplitudes, series.program.gates, marks))
-            watched, count = _watched_run(n, series.program.gates, marks)
-            reads.append(count)
-            assert all(np.array_equal(a, b) for a, b in zip(plain, watched, strict=True))
-        # reads: one per folded gate, plus lift's per distinct (gate, block qubits)
-        assert reads[0] == reads[1] < len(series.program) // 10
+            fused.append(_count_fused_gates(monkeypatch))
+            states = _run_series(init_state(n).amplitudes, series.segments, series.order)
+            monkeypatch.undo()
+            assert len(states) == steps + 1
+        # one fuse call per distinct segment: state prep and one step
+        assert fused[0] == fused[1] == [len(p) for p in series.segments]
+        assert sum(fused[1]) < len(series.program) // 10
 
 
 def _count_matrix_builds(monkeypatch):
-    # gate_matrix and _embed as evolve looks them up: every matrix the fold builds
+    # gate_matrix and _embed as fuse looks them up: every matrix the fold builds
     built = [0]
     for name in ("gate_matrix", "_embed"):
         original = getattr(circuits, name)
@@ -522,33 +528,36 @@ def _count_matrix_builds(monkeypatch):
 
 def test_evolve_with_a_shared_memo_equals_memo_less_calls(monkeypatch):
     rng = np.random.default_rng(31)
-    a, b = random_program(rng, 5, 40), random_program(rng, 5, 40)
-    gates, marks = _repeat((a, b), (0, 1, 1, 0))
+    segments = (random_program(rng, 5, 40), random_program(rng, 5, 40))
+    order = (0, 1, 1, 0)
     prepared = init_state(5, ["up", "down", "down", "up", "down"])
     start = prepared.amplitudes
-    alone = list(evolve(start.copy(), gates, marks))
+    alone = _run_series(start, segments, order)
     memo: dict = {}
-    first = list(evolve(start.copy(), gates, marks, memo))
+    first = _run_series(start, segments, order, memo)
     built = _count_matrix_builds(monkeypatch)
-    # a second call over the same gates, from another state, replays the first's fold
+    # a second run over the same segments, from another state, reuses the first's blocks
     other = apply_gate(prepared, make_gate("h", [2])).amplitudes
-    second = list(evolve(other.copy(), gates, marks, memo))
+    second = _run_series(other, segments, order, memo)
     assert built[0] == 0
     monkeypatch.undo()
     assert all(np.array_equal(x, y) for x, y in zip(alone, first, strict=True))
-    assert all(
-        np.array_equal(x, y) for x, y in zip(evolve(other, gates, marks), second, strict=True)
-    )
+    plain = _run_series(other, segments, order)
+    assert all(np.array_equal(x, y) for x, y in zip(plain, second, strict=True))
 
 
 def test_evolve_memo_never_replays_across_widths():
-    # the same gate objects at widths 4 and 5 fold into different blocks
-    # (ranges of at most 3 qubits at n=4, 4 at n=5)
+    # the same gates at widths 4 and 5 fuse into different blocks (ranges of
+    # at most 3 qubits at n=4, 4 at n=5)
     rng = np.random.default_rng(37)
-    gates, marks = _repeat((random_program(rng, 4, 60),), (0, 0, 0))
+    gates = random_program(rng, 4, 60).gates
     memo: dict = {}
+    widths = {}
     for n in (4, 5, 4):
+        segments = (Program(n, gates),)
         start = init_state(n, ["down" if q % 2 else "up" for q in range(n)]).amplitudes
-        plain = list(evolve(start.copy(), gates, marks))
-        shared = list(evolve(start.copy(), gates, marks, memo))
+        plain = _run_series(start, segments, (0, 0, 0))
+        shared = _run_series(start, segments, (0, 0, 0), memo)
         assert all(np.array_equal(x, y) for x, y in zip(plain, shared, strict=True))
+        widths[n] = max(len(on) for _, on in fuse_segments(segments, memo)[0])
+    assert widths == {4: 3, 5: 4}

@@ -12,7 +12,6 @@ from spinchain import (
     SimulationPlan,
     compile_program,
     compiler,
-    conforms,
     ds_compile,
     generate_circuits,
     lower_generic,
@@ -20,7 +19,7 @@ from spinchain import (
     program_unitary,
 )
 from spinchain.compiler import CompileError, _rx_native, _wrap, _zyz_angles
-from helpers import on_list, random_program, unitary_equivalent
+from helpers import conforms, on_list, random_program, unitary_equivalent
 
 _pass_cancel_inverse_pairs = on_list(compiler._pass_cancel_inverse_pairs)
 _pass_commute_through_entanglers = on_list(compiler._pass_commute_through_entanglers)

@@ -27,6 +27,7 @@ from spinchain import (
     simulate_series,
 )
 from spinchain import simulator
+from spinchain.circuits import evolve, fuse_segments
 from spinchain.workflow import build_plan, prepare_circuits
 from helpers import (
     counts_dict_oracle,
@@ -144,24 +145,22 @@ def test_batched_z_expectations_equal_the_per_row_pass(n):
 
 def test_series_refuses_a_snapshot_off_the_unit_norm(monkeypatch):
     series, plan = _tiny_series()
-    evolve = simulator.evolve
 
-    def drifting(amps, gates, marks, memo=None):
-        for k, snapshot in enumerate(evolve(amps, gates, marks, memo)):
-            yield snapshot * math.sqrt(1 + 1e-9) if k == 2 else snapshot
+    def drifting(amps, block_lists):
+        for k, state in enumerate(evolve(amps, block_lists)):
+            yield state * math.sqrt(1 + 1e-9) if k == 2 else state
 
     monkeypatch.setattr(simulator, "evolve", drifting)
     with pytest.raises(SimulationError, match="mark 2: state not normalized"):
         simulate_series(series, plan)
 
 
-def test_exact_series_peak_memory_stays_below_five_states():
+def test_exact_series_peak_memory_stays_below_four_states():
     import tracemalloc
 
-    # n = 14, 256 KiB a state: the state, its spare, one snapshot, a row of
-    # probabilities and the run's gate matrices come to about 4.6 states; a
-    # kernel buffer, or a snapshot held while the next one is written, would
-    # each add one or more
+    # n = 14, 256 KiB a state: the state, its spare, a row of probabilities
+    # and the run's gate matrices come to about 2.7 states; a kernel buffer,
+    # or a copy of the state at a step, would each add one
     model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=FieldProfile(amplitude=1.0))
     spins = ["down" if q % 3 == 1 else "up" for q in range(14)]
     plan = SimulationPlan(num_qubits=14, initial_spins=spins, delta_t=0.05, steps=4)
@@ -172,7 +171,7 @@ def test_exact_series_peak_memory_stays_below_five_states():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * (16 << 14)
+    assert peak < 4 * (16 << 14)
 
 
 def test_expectation_z_against_enumeration():
@@ -294,6 +293,40 @@ def test_run_noisy_edge_cases():
         run_noisy(prog, [9], 0, noise, seed=3)
 
 
+def test_run_noisy_rejects_marks_out_of_order_or_range():
+    program = random_program(np.random.default_rng(4), 3, 12)
+    noise = NoiseParams(p1=0.1, p2=0.1)
+    for bad in ([3, 2], [-1], [13], [0, 12, 13]):
+        with pytest.raises(SimulationError, match="marks must be non-decreasing"):
+            run_noisy(program, bad, 10, noise, seed=1)
+    assert run_noisy(program, np.array([0, 12, 12]), 10, noise, seed=1).shape == (3, 8)
+
+
+def test_noisy_run_fuses_each_hit_free_interval_once(monkeypatch):
+    # single-qubit gates draw no noise at p1 = 0, so the intervals of X gates
+    # are never hit, and those of CNOTs are hit in most shots
+    xs = tuple(make_gate("x", [q]) for q in range(3))
+    cnots = (make_gate("cnot", [0, 1]), make_gate("cnot", [1, 2]))
+    program = Program(3, xs + cnots + xs + cnots + xs)
+    marks = [3, 5, 8, 10, 13]
+    noise = NoiseParams(p1=0.0, p2=0.5)
+    fused, original = [], simulator.fuse
+
+    def counted(gates, *args):
+        fused.append(tuple(gates))
+        return original(gates, *args)
+
+    monkeypatch.setattr(simulator, "fuse", counted)
+    for shots in (20, 100):
+        fused.clear()
+        run_noisy(program, marks, shots, noise, seed=2)
+        # each interval once before the shots; per shot only those with a Pauli
+        assert fused[: len(marks)] == [program.gates[a:b] for a, b in zip([0, *marks], marks)]
+        assert fused.count(xs) == 3
+        assert all(len(gates) > 2 for gates in fused[len(marks) :])  # CNOTs and Paulis
+        assert len(marks) < len(fused) <= len(marks) + 2 * shots
+
+
 @pytest.mark.parametrize("noise", [NoiseParams(p1=0.1, p2=0.3), NoiseParams(p1=0.3, p2=0.0)])
 def test_run_noisy_equals_a_dense_replay_of_its_draws(noise):
     # exact counts: a Pauli spliced before its gate, on the wrong qubit or at
@@ -382,14 +415,28 @@ def _tiny_series():
     return generate_circuits(model, plan), plan
 
 
+def _segments_alone(circuits, index):
+    """Circuit ``index`` run as its own segments, each fused alone."""
+    amps = init_state(circuits.program.num_qubits).amplitudes
+    *_, state = evolve(amps, [fuse_segments([circuits.segment(k)])[0] for k in range(index + 1)])
+    return StateVector(circuits.program.num_qubits, state)
+
+
+def _assert_series_reads_each_circuit(series, circuits):
+    # bit for bit the circuit's segments run alone; within 1e-12 of the
+    # circuit fused as one program, where blocks may cross a step mark
+    for index, program in enumerate(circuits):
+        alone, whole = _segments_alone(circuits, index), run_statevector(program)
+        for q in range(program.num_qubits):
+            assert series.values[q][index] == expectation_z(alone, q)
+            assert abs(series.values[q][index] - expectation_z(whole, q)) <= 1e-12
+
+
 def test_simulate_series_incremental_matches_per_program():
     circuits, plan = _tiny_series()
     series = simulate_series(circuits, plan)
     assert series.times == tuple(pytest.approx(0.1 * k) for k in range(5))
-    for index, program in enumerate(circuits):
-        state = run_statevector(program)
-        for q in range(2):
-            assert series.values[q][index] == expectation_z(state, q)
+    _assert_series_reads_each_circuit(series, circuits)
 
 
 @pytest.mark.parametrize("target", ["ibm", "rigetti"])
@@ -405,12 +452,7 @@ def test_compiled_series_matches_source_per_prefix(target):
         assert unitary_equivalent(
             program_unitary(source[k]), program_unitary(compiled[k]), tol=1e-8
         )
-    plan = build_plan(config)
-    series = simulate_series(compiled, plan)
-    for index, program in enumerate(compiled):
-        state = run_statevector(program)
-        for q in range(3):
-            assert series.values[q][index] == expectation_z(state, q)
+    _assert_series_reads_each_circuit(simulate_series(compiled, build_plan(config)), compiled)
 
 
 def test_simulate_series_sampled_is_deterministic():

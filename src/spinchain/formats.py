@@ -110,7 +110,7 @@ def _format_angle(value: float) -> str:
     return f"{value:.17g}"
 
 
-def emit_qasm(program: Program, include_measurements: bool = True) -> str:
+def emit_qasm(program: Program) -> str:
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
@@ -122,9 +122,7 @@ def emit_qasm(program: Program, include_measurements: bool = True) -> str:
         params = f"({','.join(_format_angle(a) for a in g.angles)})" if g.angles else ""
         operands = ",".join(f"q[{q}]" for q in g.qubits)
         lines.append(f"{name}{params} {operands};")
-    if include_measurements:
-        for q in range(program.num_qubits):
-            lines.append(f"measure q[{q}] -> c[{q}];")
+    lines += [f"measure q[{q}] -> c[{q}];" for q in range(program.num_qubits)]
     return "\n".join(lines) + "\n"
 
 
@@ -226,16 +224,14 @@ def _format_quil_angle(value: float) -> str:
     return f"{value:.17g}"
 
 
-def emit_quil(program: Program, include_measurements: bool = True) -> str:
+def emit_quil(program: Program) -> str:
     lines = [f"DECLARE ro BIT[{program.num_qubits}]"]
     for g in program.gates:
         name = _QUIL_EMIT_NAMES[g.kind]
         params = f"({', '.join(_format_quil_angle(a) for a in g.angles)})" if g.angles else ""
         qubits = " ".join(str(q) for q in g.qubits)
         lines.append(f"{name}{params} {qubits}")
-    if include_measurements:
-        for q in range(program.num_qubits):
-            lines.append(f"MEASURE {q} ro[{q}]")
+    lines += [f"MEASURE {q} ro[{q}]" for q in range(program.num_qubits)]
     return "\n".join(lines) + "\n"
 
 
@@ -300,8 +296,8 @@ def _for_dialect(table: dict, dialect: str):
     return table[dialect]
 
 
-def emit_program(program: Program, dialect: str, include_measurements: bool = True) -> str:
-    return _for_dialect(_EMITTERS, dialect)(program, include_measurements)
+def emit_program(program: Program, dialect: str) -> str:
+    return _for_dialect(_EMITTERS, dialect)(program)
 
 
 def parse_program(text: str, dialect: str) -> Program:

@@ -10,17 +10,18 @@ trajectories from one generator on the run seed.
 
 Every mode moves a state only through ``circuits.evolve``: gates fused into
 blocks on ranges of up to four qubits, each one matmul from the state into a
-spare.  An exact or sampled series fuses each distinct step segment once and
-reads the state after each step.  A noisy run fuses each interval between
-its marks once, and per shot only the intervals its drawn Paulis hit.  Every
-site's <sigma^z>, and each row's sum, comes from one pairwise-halving pass
-over a batch of rows: the probabilities of many marks in exact mode (a sum
-off 1 by over 1e-10 is refused), shot counts in sampled and noisy mode.
+spare.  Every mode fuses each distinct step segment of a series once and
+reads the state after each step; a noisy run fuses anew, per shot, only the
+steps its drawn Paulis hit.  Every site's <sigma^z>, and each row's sum,
+comes from one pairwise-halving pass over a batch of rows: the probabilities
+of many circuits in exact mode (a sum off 1 by over 1e-10 is refused), shot
+counts in sampled and noisy mode.
 ``simulate_series`` and ``expectation_z`` share it and agree bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,7 +38,7 @@ class SimulationError(ValueError):
     """Raised for invalid simulator inputs."""
 
 
-_BATCH_ENTRIES = 1 << 12  # per readout pass: many marks' rows at small n, one row at n >= 12
+_BATCH_ENTRIES = 1 << 12  # per readout pass: many circuits' rows at small n, one row at n >= 12
 
 
 @dataclass
@@ -146,55 +147,54 @@ class NoiseParams:
 
 
 def run_noisy(
-    program: Program,
-    marks: Sequence[int],
+    series: "CircuitSeries",
     shots: int,
     noise: NoiseParams,
     seed: int | np.random.SeedSequence,
+    memo: dict | None = None,
 ) -> np.ndarray:
-    """Monte Carlo Pauli-noise sampling: one trajectory per shot, read at every mark.
+    """Monte Carlo Pauli-noise sampling: one trajectory per shot, read after every circuit.
 
-    Returns ``counts[i, b]``, how many shots measured basis state b after the
-    first ``marks[i]`` gates; each row sums to ``shots``.  The marks must not
-    decrease and must lie in [0, len(program)].  Each shot starts from
-    |0...0> and draws from one generator on ``seed``, in this order: one
-    uniform per (gate, touched qubit) in program order, a hit when below p1
-    (single-qubit gate) or p2; one Pauli (X, Y or Z) per hit; one uniform per
-    mark.  The gates between two marks are fused once per run; a shot fuses
-    anew only the intervals it hits, with the Paulis spliced in after their
-    gates.  It runs the intervals through ``evolve`` and measures the state
-    after each by inverse CDF with its mark's uniform.
+    Returns ``counts[k, b]``, how many shots measured basis state b after
+    circuit k of the series; each row sums to ``shots``.  Each shot starts
+    from |0...0> and draws from one generator on ``seed``, in this order: one
+    uniform per (gate, touched qubit) in the last circuit's gate order, a hit
+    when below p1 (single-qubit gate) or p2; one Pauli (X, Y or Z) per hit;
+    one uniform per circuit.  The segments' hit-free blocks come from
+    ``fuse_segments`` with ``memo`` (as for ``simulate_series``); a shot fuses
+    anew only the steps it hits, with the Paulis spliced in after their
+    gates.  It runs the steps through ``evolve`` and measures the state after
+    each by inverse CDF with its circuit's uniform.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    n, gates, marks = program.num_qubits, program.gates, list(map(int, marks))
-    bounds = [0, *marks]
-    if any(b < a for a, b in zip(bounds, marks)) or marks and marks[-1] > len(gates):
-        raise SimulationError(f"marks must be non-decreasing in [0, {len(gates)}], got {marks}")
-    # per (gate, touched qubit): the gate's index, the qubit, its error probability
-    owner = np.array([i for i, g in enumerate(gates) for _ in g.qubits], dtype=np.intp)
-    touched = [q for g in gates for q in g.qubits]
-    p = np.array([noise.p1 if len(g.qubits) == 1 else noise.p2 for g in gates for _ in g.qubits])
+    segments, order, memo = series.segments, series.order, {} if memo is None else memo
+    n = segments[0].num_qubits
+    clean = fuse_segments(segments, memo)  # each segment's blocks, hit-free
+    lifted = memo["lifted"]  # the gate matrices every fusion shares
+    # per (gate, touched qubit) of each segment: the gate's index in it, the qubit, the gate's width
+    slots = [[(i, q, len(g.qubits)) for i, g in enumerate(s.gates) for q in g.qubits] for s in segments]
+    # the same over the last circuit, in its gate order, with each slot's step and error probability
+    step = np.repeat(np.arange(len(order)), [len(slots[k]) for k in order])
+    gate, qubit, width = np.array([slot for k in order for slot in slots[k]], np.intp).reshape(-1, 3).T
+    p = np.where(width == 1, noise.p1, noise.p2)
     paulis = [[make_gate(kind, [q]) for kind in "xyz"] for q in range(n)]
-    lifted: dict = {}  # the gate matrices every fusion shares
-    clean = [fuse(gates[a:b], n, lifted) for a, b in zip(bounds, marks)]  # each interval, hit-free
     initial = init_state(n).amplitudes
-    counts = np.zeros((len(marks), len(initial)), dtype=np.int64)
+    counts = np.zeros((len(order), len(initial)), dtype=np.int64)
     rng = np.random.default_rng(seed)
     for _ in range(shots):
         hits = np.flatnonzero(rng.random(len(p)) < p)
         kinds = rng.integers(3, size=len(hits)).tolist()
-        draws = rng.random(len(marks))
-        after = owner[hits]  # the gate each hit follows
-        cuts = [0, *np.searchsorted(after, marks).tolist()]  # the hits before each mark
-        after, hits, intervals = after.tolist(), hits.tolist(), []
-        for j, (start, stop) in enumerate(zip(bounds, marks)):
-            spliced = []
-            for i in range(cuts[j], cuts[j + 1]):
-                spliced += [*gates[start : after[i] + 1], paulis[touched[hits[i]]][kinds[i]]]
-                start = after[i] + 1
-            intervals.append(fuse([*spliced, *gates[start:stop]], n, lifted) if spliced else clean[j])
-        for row, state, u in zip(counts, evolve(initial.copy(), intervals), draws):
+        draws = rng.random(len(order))
+        blocks = [clean[k] for k in order]
+        at = zip(step[hits].tolist(), gate[hits].tolist(), qubit[hits].tolist(), kinds)
+        for j, group in itertools.groupby(at, key=lambda hit: hit[0]):
+            gates, spliced, start = segments[order[j]].gates, [], 0
+            for _, i, q, kind in group:
+                spliced += [*gates[start : i + 1], paulis[q][kind]]
+                start = i + 1
+            blocks[j] = fuse([*spliced, *gates[start:]], n, lifted)
+        for row, state, u in zip(counts, evolve(initial.copy(), blocks), draws):
             cdf = np.cumsum(np.abs(state) ** 2)
             row[min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)] += 1
     return counts
@@ -229,34 +229,33 @@ def simulate_series(
 ) -> MagnetizationSeries:
     """Run every circuit of a circuit series and collect magnetizations.
 
-    The series program already contains the state-preparation gates, so
-    execution always starts from the all-zero state.  Circuit k adds one step
-    segment to circuit k-1, so each distinct segment is fused once, the
-    segments run once in order and the state is read after each; the state
-    of circuit k is bit-identical to running its segments alone.  ``memo``
-    is passed to ``fuse_segments``, so a run's memo reuses the blocks that
-    the compiler's check fused for the same compiled segments; a noisy
-    series ignores it.
+    The first segment holds the state-preparation gates, so execution
+    always starts from the all-zero state.  Circuit k adds one step segment
+    to circuit k-1, so each distinct segment is fused once, the segments run
+    once in order and the state is read after each; the state of circuit k
+    is bit-identical to running its segments alone.  ``memo`` is passed to
+    ``fuse_segments``, so a run's memo reuses the blocks that the compiler's
+    check fused for the same compiled segments.
 
     plan.shots == 0 selects exact expectation values.  Otherwise each circuit
     is sampled with ``plan.shots`` shots, circuit k from the k-th stream that
     ``SeedSequence(plan.seed)`` spawns; with Pauli noise of nonzero strength
     in plan.noise, ``run_noisy`` instead draws ``plan.shots`` trajectories
-    from one generator on ``SeedSequence(plan.seed)``, each read at every
-    mark.  Zero noise is plain sampling.
+    from one generator on ``SeedSequence(plan.seed)``, each read after every
+    circuit.  Zero noise is plain sampling.
     """
-    marks, n, shots, noise = series.step_ends, series.program.num_qubits, plan.shots, plan.noise
+    steps, n, shots, noise = len(series), series.segments[0].num_qubits, plan.shots, plan.noise
     if shots and noise is not None and (noise.p1 or noise.p2):
-        values = _z_expectations(run_noisy(series.program, marks, shots, noise, plan.seed), shots)[0]
+        values = _z_expectations(run_noisy(series, shots, noise, plan.seed, memo), shots)[0]
     else:
-        streams = np.random.SeedSequence(plan.seed).spawn(len(marks)) if shots else None
-        size = max(1, min(len(marks), _BATCH_ENTRIES >> n))  # marks read per halving pass
+        streams = np.random.SeedSequence(plan.seed).spawn(steps) if shots else None
+        size = max(1, min(steps, _BATCH_ENTRIES >> n))  # circuits read per halving pass
         batch = np.empty((size, 1 << n), np.int64 if shots else float)
-        values = np.empty((len(marks), n))
+        values = np.empty((steps, n))
         blocks = fuse_segments(series.segments, memo)
         states = evolve(init_state(n).amplitudes, [blocks[k] for k in series.order])
-        for first in range(0, len(marks), len(batch)):
-            rows = batch[: len(marks) - first]
+        for first in range(0, steps, len(batch)):
+            rows = batch[: steps - first]
             for index, row in enumerate(rows, first):  # each state is read before the next
                 if shots:
                     row[:] = sample_counts(StateVector(n, next(states)), shots, streams[index])
@@ -268,6 +267,6 @@ def simulate_series(
                 if abs(norm - 1.0) > 1e-10:  # as a StateVector checks its norm
                     raise SimulationError(f"mark {index}: state not normalized: |psi|^2 = {norm}")
     return MagnetizationSeries(
-        times=tuple(k * plan.delta_t for k in range(len(marks))),
+        times=tuple(k * plan.delta_t for k in range(steps)),
         values=tuple(map(tuple, values.T.tolist())),
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +53,11 @@ class CircuitSeries:
     """The steps+1 circuits of one run: distinct step segments and their order.
 
     Circuit k adds ``segments[order[k]]`` to circuit k-1; segment order[0] is
-    the state preparation.  ``program`` (all segments in order) and
-    ``step_ends`` (the gate count of each circuit) are derived from them, so
-    circuit k is the prefix ``program.gates[:step_ends[k]]``.
+    the state preparation.  A circuit is built only when indexed.
     """
 
     segments: tuple[Program, ...]
     order: tuple[int, ...]
-    program: Program = field(init=False, repr=False, compare=False)
-    step_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segments, order = tuple(self.segments), tuple(self.order)
@@ -71,13 +67,8 @@ class CircuitSeries:
             raise ValueError(f"segments must be programs on one register, got {segments!r}")
         if not order or not all(0 <= k < len(segments) for k in order):
             raise ValueError(f"order must index {len(segments)} segments, got {order}")
-        # each segment passed the Program checks on this register, so the join skips them
-        gates = tuple(itertools.chain.from_iterable(segments[k].gates for k in order))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "program", Program._unchecked(segments[0].num_qubits, gates))
-        ends = itertools.accumulate(len(segments[k]) for k in order)
-        object.__setattr__(self, "step_ends", tuple(ends))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -86,13 +77,11 @@ class CircuitSeries:
         return (self[k] for k in range(len(self)))
 
     def __getitem__(self, index: int) -> Program:
-        """Circuit ``index`` (negative counts from the end) as its own program."""
-        program = self.program
-        return Program._unchecked(program.num_qubits, program.gates[: self.step_ends[index]])
-
-    def segment(self, index: int) -> Program:
-        """The gates circuit ``index`` adds to its predecessor; 0 is state prep."""
-        return self.segments[self.order[index]]
+        """Circuit ``index`` (negative counts from the end): its segments joined."""
+        steps = self.order[: range(len(self.order))[index] + 1]
+        # each segment passed the Program checks on this register, so the join skips them
+        gates = itertools.chain.from_iterable(self.segments[k].gates for k in steps)
+        return Program._unchecked(self.segments[0].num_qubits, tuple(gates))
 
 
 def state_prep_gates(initial_spins) -> list[Gate]:

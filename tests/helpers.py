@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from spinchain import GateError, GateKind, Program, RunConfig, compiler, gate_matrix, make_gate
+from spinchain import (
+    CircuitSeries, GateError, GateKind, Program, RunConfig, compiler, gate_matrix, make_gate,
+)
 
 ALL_KINDS = tuple(GateKind)
 
@@ -80,6 +83,24 @@ def magnetization_from_counts_oracle(counts: dict[str, int], qubit: int) -> floa
     shots = sum(counts.values())
     up = sum(c for bits, c in counts.items() if bits[qubit] == "0")
     return (up - (shots - up)) / shots
+
+
+def segment(series: CircuitSeries, index: int) -> Program:
+    """The gates circuit ``index`` of a series adds to its predecessor; 0 is state prep."""
+    return series.segments[series.order[index]]
+
+
+def step_ends(series: CircuitSeries) -> tuple[int, ...]:
+    """The gate count of each circuit of a series."""
+    return tuple(itertools.accumulate(len(series.segments[k]) for k in series.order))
+
+
+def cut_at(program: Program, marks) -> CircuitSeries:
+    """The program cut at non-decreasing marks into a series whose circuit i
+    is its first ``marks[i]`` gates."""
+    bounds = [0, *marks]
+    segments = tuple(Program(program.num_qubits, program.gates[a:b]) for a, b in zip(bounds, marks))
+    return CircuitSeries(segments, tuple(range(len(segments))))
 
 
 # X, Y, Z written out, not taken from the gate table

@@ -25,7 +25,7 @@ from spinchain import (
 from spinchain import circuits
 from spinchain.circuits import apply_matrix, evolve, fuse, fuse_segments
 from spinchain.workflow import prepare_circuits
-from helpers import dense_gate_oracle, random_program, unitary_equivalent
+from helpers import dense_gate_oracle, random_program, segment, unitary_equivalent
 
 
 def test_kind_arity_tables():
@@ -340,7 +340,7 @@ def _chain_series(n: int, steps: int):
 
 
 def _chain_program(n: int, steps: int) -> Program:
-    return _chain_series(n, steps).program
+    return _chain_series(n, steps)[-1]
 
 
 def test_run_statevector_applies_one_block_per_three_bonds_per_step(monkeypatch):
@@ -491,7 +491,7 @@ def _constant_field_series(n, steps, compiled=False):
 def test_evolve_replays_a_compiled_constant_field_series_exactly():
     series = _constant_field_series(4, 10, compiled=True)
     assert len(series.segments) == 2
-    stretches = [series.segment(k).gates for k in range(len(series))]
+    stretches = [segment(series, k).gates for k in range(len(series))]
     expected = _assert_each_state_is_its_stretches_alone(stretches, 4)
     replayed = _run_series(_start(4), series.segments, series.order)
     assert all(np.array_equal(x, y) for x, y in zip(expected, replayed, strict=True))
@@ -509,7 +509,7 @@ def test_evolve_fold_work_does_not_grow_with_repeated_steps(monkeypatch):
             assert len(states) == steps + 1
         # one fuse call per distinct segment: state prep and one step
         assert fused[0] == fused[1] == [len(p) for p in series.segments]
-        assert sum(fused[1]) < len(series.program) // 10
+        assert sum(fused[1]) < len(series[-1]) // 10
 
 
 def _count_matrix_builds(monkeypatch):

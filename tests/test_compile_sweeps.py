@@ -73,7 +73,7 @@ def test_linked_passes_equal_oracles_on_sample_segments():
     circuits, _ = prepare_circuits(replace(config, compile_mode="none"))
     fired = 0
     for index in range(len(circuits)):
-        segment = circuits.segment(index)
+        segment = circuits.segments[circuits.order[index]]
         for target in TARGETS:
             fired += _assert_passes_match_oracles(segment.gates, target)
             gates = list(lower_generic(segment, target).gates)
@@ -155,8 +155,8 @@ def test_memo_does_each_lowering_and_synthesis_once_per_run(monkeypatch):
 
     prepare_circuits(COMPILED_SAMPLED)
     # one lowering per distinct source gate
-    assert len(lowerings) == len(set(source.program.gates))
-    assert {g for (g,) in lowerings} == set(source.program.gates)
+    assert len(lowerings) == len(set(source[-1].gates))
+    assert {g for (g,) in lowerings} == set(source[-1].gates)
     # one synthesis per distinct run of two or more single-qubit gates
     runs = {gates for (gates,) in memo_keys if len(gates) > 1}
     assert len(syntheses) == len(runs) > 0

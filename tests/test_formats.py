@@ -81,14 +81,6 @@ def test_quil_symbolic_angles():
     assert "RX(pi)" not in text
 
 
-def test_measurements_optional():
-    qasm = emit_qasm(_program(), include_measurements=False)
-    assert "measure" not in qasm
-    assert "creg" in qasm  # register still declared
-    quil = emit_quil(_program(), include_measurements=False)
-    assert "MEASURE" not in quil
-
-
 @pytest.mark.parametrize("dialect", DIALECTS)
 def test_round_trip_random_programs(dialect):
     rng = np.random.default_rng(67)

@@ -31,12 +31,15 @@ from spinchain.circuits import evolve, fuse_segments
 from spinchain.workflow import build_plan, prepare_circuits
 from helpers import (
     counts_dict_oracle,
+    cut_at,
     dense_gate_oracle,
     magnetization_from_counts_oracle,
     noisy_trajectory_oracle,
     pauli_channel_reference,
     random_gate,
     random_program,
+    segment,
+    step_ends,
     unitary_equivalent,
 )
 
@@ -251,9 +254,9 @@ def test_run_noisy_is_seeded_and_conserves_shots():
     prog = _two_qubit_program()
     noise = NoiseParams(p1=0.05, p2=0.1)
     marks = [0, 4, 9]
-    a = run_noisy(prog, marks, 400, noise, seed=5)
-    b = run_noisy(prog, marks, 400, noise, seed=5)
-    c = run_noisy(prog, marks, 400, noise, seed=6)
+    a = run_noisy(cut_at(prog, marks), 400, noise, seed=5)
+    b = run_noisy(cut_at(prog, marks), 400, noise, seed=5)
+    c = run_noisy(cut_at(prog, marks), 400, noise, seed=6)
     assert np.array_equal(a, b)
     assert a.shape == (3, 4)
     assert list(a.sum(axis=1)) == [400, 400, 400]
@@ -266,65 +269,73 @@ def test_noise_perturbs_an_ideal_identity_circuit():
     gates = tuple(make_gate("x", [0]) for _ in range(20))
     prog = Program(2, gates)
     marks = [0, 10, 20]
-    ideal = run_noisy(prog, marks, 300, NoiseParams(p1=0.0, p2=0.0), seed=3)
+    ideal = run_noisy(cut_at(prog, marks), 300, NoiseParams(p1=0.0, p2=0.0), seed=3)
     assert list(ideal[:, 0b00]) == [300, 300, 300]
-    noisy = run_noisy(prog, marks, 300, NoiseParams(p1=0.2, p2=0.2), seed=3)
+    noisy = run_noisy(cut_at(prog, marks), 300, NoiseParams(p1=0.2, p2=0.2), seed=3)
     assert noisy[0, 0b00] == 300
     assert noisy[1, 0b00] < 300 and noisy[2, 0b00] < 300
 
 
 def test_run_noisy_edge_cases():
     noise = NoiseParams(p1=0.3, p2=0.3)
-    # no gates: every mark reads |0...0>
-    empty = run_noisy(Program(3), [0, 0], 50, noise, seed=1)
+    # no gates: every circuit reads |0...0>
+    empty = run_noisy(cut_at(Program(3), [0, 0]), 50, noise, seed=1)
     assert empty.shape == (2, 8) and list(empty[:, 0]) == [50, 50]
     # one qubit: X flips it, the noise only sometimes
     flip = Program(1, (make_gate("x", [0]),))
-    one = run_noisy(flip, [0, 1], 200, noise, seed=2)
+    one = run_noisy(cut_at(flip, [0, 1]), 200, noise, seed=2)
     assert list(one[0]) == [200, 0]
     assert 0 < one[1, 0] < 200 and one[1].sum() == 200
-    # no marks, and repeated marks, each measured with its own draw
+    # repeated marks (empty steps), each measured with its own draw
     prog = _two_qubit_program()
-    assert run_noisy(prog, [], 10, noise, seed=3).shape == (0, 4)
-    repeated = run_noisy(prog, [4, 4, 9, 9, 9], 300, noise, seed=3)
+    repeated = run_noisy(cut_at(prog, [4, 4, 9, 9, 9]), 300, noise, seed=3)
     assert list(repeated.sum(axis=1)) == [300] * 5
     assert not np.array_equal(repeated[2], repeated[3])
     with pytest.raises(SimulationError):
-        run_noisy(prog, [9], 0, noise, seed=3)
+        run_noisy(cut_at(prog, [9]), 0, noise, seed=3)
 
 
-def test_run_noisy_rejects_marks_out_of_order_or_range():
-    program = random_program(np.random.default_rng(4), 3, 12)
-    noise = NoiseParams(p1=0.1, p2=0.1)
-    for bad in ([3, 2], [-1], [13], [0, 12, 13]):
-        with pytest.raises(SimulationError, match="marks must be non-decreasing"):
-            run_noisy(program, bad, 10, noise, seed=1)
-    assert run_noisy(program, np.array([0, 12, 12]), 10, noise, seed=1).shape == (3, 8)
+def _count_fused(monkeypatch):
+    # every fuse call: the hit-free segments through circuits.fuse_segments,
+    # the hit ones through the simulator's own name
+    from spinchain import circuits
 
-
-def test_noisy_run_fuses_each_hit_free_interval_once(monkeypatch):
-    # single-qubit gates draw no noise at p1 = 0, so the intervals of X gates
-    # are never hit, and those of CNOTs are hit in most shots
-    xs = tuple(make_gate("x", [q]) for q in range(3))
-    cnots = (make_gate("cnot", [0, 1]), make_gate("cnot", [1, 2]))
-    program = Program(3, xs + cnots + xs + cnots + xs)
-    marks = [3, 5, 8, 10, 13]
-    noise = NoiseParams(p1=0.0, p2=0.5)
-    fused, original = [], simulator.fuse
+    fused, original = [], circuits.fuse
 
     def counted(gates, *args):
         fused.append(tuple(gates))
         return original(gates, *args)
 
+    monkeypatch.setattr(circuits, "fuse", counted)
     monkeypatch.setattr(simulator, "fuse", counted)
+    return fused
+
+
+def test_noisy_run_fuses_each_hit_free_interval_once(monkeypatch):
+    # single-qubit gates draw no noise at p1 = 0, so the steps of X gates are
+    # never hit, and those of CNOTs are hit in most shots
+    xs = Program(3, tuple(make_gate("x", [q]) for q in range(3)))
+    cnots = Program(3, (make_gate("cnot", [0, 1]), make_gate("cnot", [1, 2])))
+    series = CircuitSeries((xs, cnots), (0, 1, 0, 1, 0))  # one X segment object, three times
+    noise = NoiseParams(p1=0.0, p2=0.5)
+    fused = _count_fused(monkeypatch)
     for shots in (20, 100):
         fused.clear()
-        run_noisy(program, marks, shots, noise, seed=2)
-        # each interval once before the shots; per shot only those with a Pauli
-        assert fused[: len(marks)] == [program.gates[a:b] for a, b in zip([0, *marks], marks)]
-        assert fused.count(xs) == 3
-        assert all(len(gates) > 2 for gates in fused[len(marks) :])  # CNOTs and Paulis
-        assert len(marks) < len(fused) <= len(marks) + 2 * shots
+        run_noisy(series, shots, noise, seed=2)
+        # each distinct segment once before the shots; per shot only those with a Pauli
+        assert fused[:2] == [xs.gates, cnots.gates]
+        assert fused.count(xs.gates) == 1
+        assert all(len(gates) > 2 for gates in fused[2:])  # CNOTs and Paulis
+        assert 2 < len(fused) <= 2 + 2 * shots
+
+
+def test_noisy_run_fuses_a_long_constant_field_series_once_per_segment(monkeypatch):
+    config = replace(NOISY_CHAIN, num_qubits=6, initial_spins=None, delta_t=0.05, steps=160)
+    series, _ = prepare_circuits(config)
+    fused = _count_fused(monkeypatch)
+    counts = run_noisy(series, 4, NoiseParams(p1=1e-9, p2=1e-9), seed=1)
+    assert len(fused) == len(series.segments) == 2
+    assert counts.shape == (161, 64) and list(counts.sum(axis=1)) == [4] * 161
 
 
 @pytest.mark.parametrize("noise", [NoiseParams(p1=0.1, p2=0.3), NoiseParams(p1=0.3, p2=0.0)])
@@ -333,9 +344,9 @@ def test_run_noisy_equals_a_dense_replay_of_its_draws(noise):
     # the wrong mark changes some shot's outcome
     config = replace(NOISY_CHAIN, num_qubits=3, initial_spins=("up", "down", "up"), steps=2)
     circuits, _ = prepare_circuits(config)
-    marks = sorted([*circuits.step_ends, circuits.step_ends[1]])
-    counts = run_noisy(circuits.program, marks, 300, noise, seed=8)
-    oracle = noisy_trajectory_oracle(circuits.program, marks, 300, noise.p1, noise.p2, seed=8)
+    marks = sorted([*step_ends(circuits), step_ends(circuits)[1]])
+    counts = run_noisy(cut_at(circuits[-1], marks), 300, noise, seed=8)
+    oracle = noisy_trajectory_oracle(circuits[-1], marks, 300, noise.p1, noise.p2, seed=8)
     assert np.array_equal(counts, oracle)
 
 
@@ -368,14 +379,14 @@ def test_noisy_series_matches_the_density_matrix_reference():
     # each value is a mean of shots +-1 outcomes; Hoeffding's bound on all
     # of them together fails with probability at most 1e-6
     eps = math.sqrt(2 * math.log(2 * estimate.size / 1e-6) / plan.shots)
-    marks = circuits.step_ends
-    reference = pauli_channel_reference(circuits.program, marks, noise.p1, noise.p2)
+    marks = step_ends(circuits)
+    reference = pauli_channel_reference(circuits[-1], marks, noise.p1, noise.p2)
     assert np.max(np.abs(estimate - reference)) <= eps
     # the same bound rejects the noiseless dynamics and the Jx <-> Jz swapped chain
-    noiseless = pauli_channel_reference(circuits.program, marks, 0.0, 0.0)
+    noiseless = pauli_channel_reference(circuits[-1], marks, 0.0, 0.0)
     assert np.max(np.abs(estimate - noiseless)) > eps
     swapped, _ = prepare_circuits(replace(NOISY_CHAIN, jx=NOISY_CHAIN.jz, jz=NOISY_CHAIN.jx))
-    control = pauli_channel_reference(swapped.program, swapped.step_ends, noise.p1, noise.p2)
+    control = pauli_channel_reference(swapped[-1], step_ends(swapped), noise.p1, noise.p2)
     assert np.max(np.abs(estimate - control)) > eps
 
 
@@ -394,7 +405,7 @@ def test_run_noisy_builds_each_gate_matrix_once_across_shots(monkeypatch):
     calls = []
     for shots in (50, 200):
         built.clear()
-        run_noisy(program, [0, len(program)], shots, noise, seed=3)
+        run_noisy(cut_at(program, [0, len(program)]), shots, noise, seed=3)
         calls.append(len(built))
         assert len(built) == len(set(built))
     assert calls[0] == calls[1]
@@ -417,9 +428,10 @@ def _tiny_series():
 
 def _segments_alone(circuits, index):
     """Circuit ``index`` run as its own segments, each fused alone."""
-    amps = init_state(circuits.program.num_qubits).amplitudes
-    *_, state = evolve(amps, [fuse_segments([circuits.segment(k)])[0] for k in range(index + 1)])
-    return StateVector(circuits.program.num_qubits, state)
+    n = circuits.segments[0].num_qubits
+    blocks = [fuse_segments([segment(circuits, k)])[0] for k in range(index + 1)]
+    *_, state = evolve(init_state(n).amplitudes, blocks)
+    return StateVector(n, state)
 
 
 def _assert_series_reads_each_circuit(series, circuits):

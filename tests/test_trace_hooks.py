@@ -10,16 +10,18 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinchain
 import spinchain.cli
-from spinchain import RunConfig, generate_circuits, run_workflow
+from spinchain import NoiseParams, RunConfig, generate_circuits, run_workflow
 from spinchain.compiler import NativeTarget, compile_program
-from spinchain.simulator import simulate_series
+from spinchain.simulator import run_noisy, simulate_series
 from spinchain.workflow import (
     _format_report, build_model, build_plan, compile_series, prepare_circuits,
 )
+from helpers import segment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -47,17 +49,22 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
         compiled.write_text(path.read_text() + "backend = rigetti\ncompile = domain_specific\n")
         tracer.start_op(1)
         assert spinchain.cli.main(["run", str(compiled), "--output-dir", str(tmp_path / "c")]) == 0
+        # a noisy run: trajectories, so no per-circuit sampling
+        noisy = tmp_path / "noisy.txt"
+        noisy.write_text(path.read_text() + "noise_choice = true\n")
+        tracer.start_op(2)
+        assert spinchain.cli.main(["run", str(noisy), "--output-dir", str(tmp_path / "n")]) == 0
     finally:
         tracer.close()
     assert spinchain.workflow.simulate_series is original
-    for op in (0, 1):
+    for op in (0, 1, 2):
         names = {span[0] for _, span in tracer.op_spans(op)}
-        assert {
-            "cli.main", "trotter.generate", "simulator.simulate", "simulator.sample",
-            "plotting.render",
-        } <= names
+        assert {"cli.main", "trotter.generate", "simulator.simulate", "plotting.render"} <= names
+        assert ("simulator.sample" in names) == (op != 2)
         assert tracer.counts[op]["simulator.num_qubits"] == 2
+    assert tracer.counts[2]["simulator.trajectories"] == 8
     assert (tmp_path / "c" / "data" / "compile_report.txt").exists()
+    assert (tmp_path / "n" / "data" / "qubit_1_magnetization.csv").exists()
 
 
 def _count_compile_calls(monkeypatch):
@@ -125,6 +132,36 @@ def test_simulation_replays_the_fold_of_the_check(monkeypatch):
     assert shared == simulate_series(circuits, plan)
 
 
+@pytest.mark.parametrize("p", [1e-9, 0.05])
+def test_noisy_simulation_replays_the_fold_of_the_check(monkeypatch, p):
+    # the noisy path takes its hit-free blocks from the run's memo, so it
+    # builds only the matrices of the Paulis its hits splice in
+    config = replace(SINUSOID, shots=64, noise_choice=True)
+    plan = replace(build_plan(config), noise=NoiseParams(p1=p, p2=p))
+    source = generate_circuits(build_model(config), plan)
+    memo: dict = {}
+    circuits, _ = compile_series(source, config, memo)
+    built = []
+    for name in ("gate_matrix", "_embed"):
+        original = getattr(spinchain.circuits, name)
+
+        def counted(first, *args, _original=original, _name=name):
+            built.append((_name, first))
+            return _original(first, *args)
+
+        monkeypatch.setattr(spinchain.circuits, name, counted)
+    shared = simulate_series(circuits, plan, memo=memo)
+    monkeypatch.undo()
+    assert shared == simulate_series(circuits, plan)
+    counts = run_noisy(circuits, plan.shots, plan.noise, plan.seed, memo)
+    assert np.array_equal(counts, run_noisy(circuits, plan.shots, plan.noise, plan.seed))
+    paulis = {g.kind.value for name, g in built if name == "gate_matrix"}
+    if p < 1e-6:  # no shot is hit: nothing is fused anew
+        assert built == []
+    else:
+        assert paulis and paulis <= {"x", "y", "z"}
+
+
 @pytest.mark.parametrize("config", [CONSTANT, SINUSOID], ids=["constant", "sinusoid"])
 def test_compile_report_equals_compiling_each_step_alone(tmp_path, config):
     artifacts = run_workflow(config, str(tmp_path))
@@ -132,7 +169,7 @@ def test_compile_report_equals_compiling_each_step_alone(tmp_path, config):
     target = NativeTarget.from_name(config.backend)
     lines = ["compilation report", f"target: {config.backend}", f"mode: {config.compile_mode}", ""]
     for k in range(len(source)):
-        _, report = compile_program(source.segment(k), target, config.compile_mode)
+        _, report = compile_program(segment(source, k), target, config.compile_mode)
         lines += _format_report(k, report) + [""]
     with open(artifacts.report_path, encoding="utf-8") as handle:
         assert handle.read() == "\n".join(lines)

@@ -27,7 +27,7 @@ from spinchain.trotter import (
     field_evolution_gates,
     state_prep_gates,
 )
-from helpers import unitary_equivalent
+from helpers import segment, step_ends, unitary_equivalent
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -149,17 +149,18 @@ def test_series_structure_and_prefix_property():
     )
     circuits = generate_circuits(model, plan)
     assert len(circuits) == plan.steps + 1
-    assert len(circuits.program) == circuits.step_ends[-1]
-    assert all(a < b for a, b in zip(circuits.step_ends, circuits.step_ends[1:]))
+    ends = step_ends(circuits)
+    assert len(circuits[-1]) == ends[-1]
+    assert all(a < b for a, b in zip(ends, ends[1:]))
     assert [g.kind for g in circuits[0].gates] == [GateKind.X]
     programs = list(circuits)
     for prev, cur in zip(programs, programs[1:]):
         assert cur.gates[: len(prev.gates)] == prev.gates
-    assert circuits[-1] == circuits.program
+    assert circuits[-1].gates == sum((segment(circuits, k).gates for k in range(6)), ())
     assert circuits[-2] == programs[-2]
     # no field -> a step is the two XX+YY bonds alone, two CNOTs each
     bonds = [g for i in range(2) for g in bond_evolution_gates(1.0, 1.0, 0.0, 0.1, i, i + 1)]
-    assert circuits.segment(5).gates == tuple(bonds)
+    assert segment(circuits, 5).gates == tuple(bonds)
     assert len(bonds) == 16
     assert sum(g.kind is GateKind.CNOT for g in bonds) == 4
 
@@ -168,11 +169,9 @@ def test_circuit_series_segments_and_bad_marks():
     model = HeisenbergModel(jx=0, jy=0, jz=1.0, field=FieldProfile(amplitude=2.0))
     plan = SimulationPlan(num_qubits=3, initial_spins=["up", "down", "up"], steps=3)
     circuits = generate_circuits(model, plan)
-    joined = sum((circuits.segment(k).gates for k in range(len(circuits))), ())
-    assert joined == circuits.program.gates
-    assert circuits.segment(-1) is circuits.segment(3) is circuits.segment(1)
-    with pytest.raises(IndexError):
-        circuits.segment(4)
+    joined = sum((segment(circuits, k).gates for k in range(len(circuits))), ())
+    assert joined == circuits[-1].gates
+    assert segment(circuits, -1) is segment(circuits, 3) is segment(circuits, 1)
     segments, order = circuits.segments, circuits.order
     assert order == (0, 1, 1, 1)
     wider = Program(4, segments[1].gates)
@@ -181,11 +180,30 @@ def test_circuit_series_segments_and_bad_marks():
         (segments, (0, 2)),
         (segments, (-1, 1)),
         ((), ()),
-        ((circuits.program.gates,), (0,)),
+        ((circuits[-1].gates,), (0,)),
         ((segments[0], wider), (0, 1)),
     ):
         with pytest.raises(ValueError):
             CircuitSeries(bad_segments, bad_order)
+
+
+def test_series_indexes_circuits_as_their_segments_joined():
+    # emit_series and the benchmark read circuits by index, by iteration and as series[-1]
+    model = HeisenbergModel(
+        jx=1.0, jz=0.5, field=FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.3)
+    )
+    plan = SimulationPlan(num_qubits=3, initial_spins=["up", "down", "up"], delta_t=0.1, steps=4)
+    series = generate_circuits(model, plan)
+    joined = [
+        Program(3, sum((series.segments[k].gates for k in series.order[: i + 1]), ()))
+        for i in range(len(series))
+    ]
+    assert [series[k] for k in range(len(series))] == list(series) == joined
+    assert [series[k - len(series)] for k in range(len(series))] == joined
+    assert series[-1] == joined[-1] and len(series[-1]) == step_ends(series)[-1]
+    for index in (len(series), -len(series) - 1):
+        with pytest.raises(IndexError):
+            series[index]
 
 
 @pytest.mark.parametrize(
@@ -211,23 +229,23 @@ def test_generation_matches_step_by_step_build(field):
         for i in range(3):
             gates += bond_evolution_gates(1.0, 0.8, 0.5, 0.05, i, i + 1)
         ends.append(len(gates))
-    assert series.program.gates == tuple(gates)
-    assert series.step_ends == tuple(ends)
+    assert series[-1].gates == tuple(gates)
+    assert step_ends(series) == tuple(ends)
     starts = (0, *ends)
     for k in range(len(series)):
-        assert series.segment(k).gates == tuple(gates[starts[k] : ends[k]])
+        assert segment(series, k).gates == tuple(gates[starts[k] : ends[k]])
         assert series[k].gates == tuple(gates[: ends[k]])
-        assert series[k].num_qubits == series.segment(k).num_qubits == 4
+        assert series[k].num_qubits == segment(series, k).num_qubits == 4
     # every step appends the same bond gate objects
     bonds = 3 * len(bond_evolution_gates(1.0, 0.8, 0.5, 0.05, 0, 1))
-    first, last = series.segment(1).gates[-bonds:], series.segment(-1).gates[-bonds:]
+    first, last = segment(series, 1).gates[-bonds:], segment(series, -1).gates[-bonds:]
     assert all(a is b for a, b in zip(first, last, strict=True))
     # a step with an h seen before adds that step's segment object again
     for k in range(1, len(series)):
         h = field_at(field, (k - 1) * 0.1)
         same = [j for j in range(1, k) if field_at(field, (j - 1) * 0.1) == h]
         if same:
-            assert series.segment(k) is series.segment(same[0])
+            assert segment(series, k) is segment(series, same[0])
 
 
 @pytest.mark.parametrize(
@@ -258,7 +276,7 @@ def test_series_holds_one_segment_per_distinct_step(field, steps, distinct):
     assert len(series.segments) == distinct
     assert len(series.order) == len(series) == steps + 1
     assert sorted(set(series.order)) == list(range(distinct))
-    assert series.segment(0).gates == tuple(state_prep_gates(plan.initial_spins))
+    assert segment(series, 0).gates == tuple(state_prep_gates(plan.initial_spins))
 
 
 def test_time_dependent_field_sampled_at_step_start():

@@ -1,5 +1,6 @@
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from spinchain import (
     parse_program,
     run_workflow,
 )
+from spinchain.config import parse_input_file
 from spinchain.workflow import (
     build_model,
     build_plan,
     emit_series,
     prepare_circuits,
 )
+
+
+SAMPLES = Path(__file__).resolve().parents[1] / "sample_inputs"
 
 
 def _read(path):
@@ -126,6 +131,12 @@ def test_run_workflow_deterministic_outputs(tmp_path, tfim_config):
     for p1, p2 in zip(first.csv_paths, second.csv_paths):
         assert _read(p1) == _read(p2)
     assert _read(first.plot_path) == _read(second.plot_path)
+    # a noisy run, as sample_inputs/noisy_chain.txt: every file of data/ again
+    noisy = parse_input_file(str(SAMPLES / "noisy_chain.txt"))
+    data = [run_workflow(noisy, str(tmp_path / run)).data_dir for run in ("c", "d")]
+    files = [sorted(os.listdir(d)) for d in data]
+    assert files[0] == files[1] and "plot.svg" in files[0]
+    assert all(_read(os.path.join(data[0], f)) == _read(os.path.join(data[1], f)) for f in files[0])
 
 
 def test_run_log_is_appended_per_run(tmp_path, tfim_config):

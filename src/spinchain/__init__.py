@@ -23,7 +23,6 @@ from .compiler import (
     CompileReport,
     NativeTarget,
     compile_program,
-    ds_compile,
     lower_generic,
 )
 from .config import ConfigError, RunConfig, parse_input_file, parse_input_text
@@ -92,7 +91,6 @@ __all__ = [
     "build_model",
     "build_plan",
     "compile_program",
-    "ds_compile",
     "emit_qasm",
     "emit_quil",
     "exact_evolution",

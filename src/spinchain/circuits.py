@@ -12,14 +12,16 @@ gather through the target array for any other set.  ``fuse`` folds one
 stretch of gates into blocks on ranges of up to four qubits, one open block
 at a time, and ``evolve`` applies lists of blocks to a state, yielding it
 after each list.
-A run fuses each step segment once (``fuse_segments``) for the simulator and
-the compiler's equivalence check; ``program_unitary`` fuses its program.
+A run holds its circuits as a ``CircuitSeries`` of step segments, which fuses
+each segment once when it is built, for the simulator and the compiler's
+equivalence check; ``program_unitary`` fuses its program.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -374,18 +376,6 @@ def fuse(gates, n: int, lifted: dict | None = None) -> list[tuple[np.ndarray, tu
     return blocks + [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
 
 
-def fuse_segments(segments, memo: dict | None = None) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
-    """Each program's ``fuse`` blocks on its register, each program object
-    fused once.  ``memo`` is a dict that keeps the blocks of every program and
-    the lifted gate matrices from one call to the next (None: a fresh one)."""
-    memo = {} if memo is None else memo
-    lifted, fused = memo.setdefault("lifted", {}), memo.setdefault("fused", {})
-    for program in segments:
-        if id(program) not in fused:  # the entry keeps the program, so its id stays unique
-            fused[id(program)] = program, fuse(program.gates, program.num_qubits, lifted)
-    return [fused[id(program)][1] for program in segments]
-
-
 def evolve(amps: np.ndarray, block_lists):
     """Apply each list of ``fuse`` blocks in turn to ``amps`` and yield the
     state after each list.
@@ -401,6 +391,53 @@ def evolve(amps: np.ndarray, block_lists):
             apply_matrix(state, m, on, spare)
             state, spare = spare, state
         yield state
+
+
+@dataclass(frozen=True, slots=True)
+class CircuitSeries:
+    """The circuits of one run: distinct step segments and their order.
+
+    Circuit k adds ``segments[order[k]]`` to circuit k-1; segment order[0] is
+    the state preparation.  A circuit is built only when indexed.  ``blocks``
+    holds each segment's ``fuse`` blocks, fused once when the series is built
+    with one table of lifted gate matrices, ``lifted``, which later fusions
+    of the same gates may share.
+    """
+
+    segments: tuple[Program, ...]
+    order: tuple[int, ...]
+    blocks: tuple[list[tuple[np.ndarray, tuple[int, ...]]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    lifted: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        segments, order = tuple(self.segments), tuple(self.order)
+        if not segments or any(
+            not isinstance(s, Program) or s.num_qubits != segments[0].num_qubits for s in segments
+        ):
+            raise ValueError(f"segments must be programs on one register, got {segments!r}")
+        if not order or not all(0 <= k < len(segments) for k in order):
+            raise ValueError(f"order must index {len(segments)} segments, got {order}")
+        lifted: dict = {}
+        n = segments[0].num_qubits
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "lifted", lifted)
+        object.__setattr__(self, "blocks", tuple(fuse(s.gates, n, lifted) for s in segments))
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __getitem__(self, index: int) -> Program:
+        """Circuit ``index`` (negative counts from the end): its segments joined."""
+        steps = self.order[: range(len(self.order))[index] + 1]
+        # each segment passed the Program checks on this register, so the join skips them
+        gates = itertools.chain.from_iterable(self.segments[k].gates for k in steps)
+        return Program._unchecked(self.segments[0].num_qubits, tuple(gates))
 
 
 def program_unitary(program: Program) -> np.ndarray:

@@ -6,12 +6,12 @@ Two hardware gate sets are modeled:
   RIGETTI: {RX at +-pi/2 or +-pi only, RZ at any angle, CZ}
 
 ``lower_generic`` performs plain gate-by-gate table substitution with no
-optimization.  ``ds_compile`` lowers and then runs a round-robin pipeline of
-rewriting passes to a fixpoint; every rewrite preserves the program unitary
-up to a global phase.  ``compile_segments`` compiles a run's step segments
-one by one and then checks them all at once on seeded random states
-(``_check``); the report records each segment's worst overlap with its
-source as a fidelity.
+optimization.  The domain-specific mode lowers and then runs a round-robin
+pipeline of rewriting passes to a fixpoint; every rewrite preserves the
+program unitary up to a global phase.  ``compile_segments`` compiles the
+step segments of a ``CircuitSeries`` one by one and then checks them all at
+once on seeded random states (``_check``); the report records each segment's
+worst overlap with its source as a fidelity.
 
 The gate list is held as a doubly linked list whose nodes are also linked
 per wire, so finding the next gate on a qubit, deleting a gate and moving one
@@ -19,12 +19,11 @@ are O(1).  One list carries a compile through every round and marks as dirty
 each node whose gate or wire neighbourhood changes: merged, deleted, moved or
 substituted nodes and their neighbours on each wire.  Each pass visits, in
 list order, only the nodes dirtied since it last ran, so a round costs what
-the rounds before it changed (Nam et al., npj QI 4, 23, 2018).  A memo, one
-per run, holds each distinct source gate's lowering and single-qubit run's
-synthesis and each segment's fused blocks, so the step segments of a run
-and its simulation share that work.  Gates made here
-are built by ``Gate._trusted``: their angles are Python floats from valid
-gates, ``_wrap`` or ``_zyz_angles``, and their qubits those of a valid gate.
+the rounds before it changed (Nam et al., npj QI 4, 23, 2018).  The segments
+of one ``compile_segments`` call share tables of each distinct source gate's
+lowering and single-qubit run's synthesis.  Gates made here are built by
+``Gate._trusted``: their angles are Python floats from valid gates, ``_wrap``
+or ``_zyz_angles``, and their qubits those of a valid gate.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Gate, GateCounts, GateKind, Program, evolve, fuse_segments, gate_counts
+from .circuits import CircuitSeries, Gate, GateCounts, GateKind, Program, evolve, gate_counts
 from .circuits import gate_matrix, program_unitary  # noqa: F401 - perfbench wraps program_unitary here
 from .config import MAX_QUBITS
 
@@ -160,12 +159,6 @@ def _lower_gate_rigetti(g: Gate) -> list[Gate]:
     return _fixed(NativeTarget.RIGETTI, k, q, a)
 
 
-def _memo_tables(memo: dict | None, target: NativeTarget) -> tuple[dict, dict, dict]:
-    # memo's tables for target, keyed by _memo_key: {source gate: its lowering},
-    # {run of single-qubit gates: its synthesis} and {gate in a run: its matrix}
-    return ({} if memo is None else memo).setdefault(target, ({}, {}, {}))
-
-
 def _memo_key(gates: tuple[Gate, ...]):
     # Gates compare by value, and an angle of -0.0 equals 0.0 but prints as
     # "-0"; when any angle is zero, its text keeps the two zeros apart.
@@ -187,10 +180,9 @@ def _lower_gates(gates, target: NativeTarget, lowered: dict) -> list[Gate]:
     return out
 
 
-def lower_generic(program: Program, target: NativeTarget, memo: dict | None = None) -> Program:
+def lower_generic(program: Program, target: NativeTarget) -> Program:
     """Gate-by-gate substitution into the target set; no optimization."""
-    lowered = _memo_tables(memo, target)[0]
-    return Program(program.num_qubits, tuple(_lower_gates(program.gates, target, lowered)))
+    return Program(program.num_qubits, tuple(_lower_gates(program.gates, target, {})))
 
 
 # ---------------------------------------------------------------------------
@@ -534,64 +526,61 @@ class CompileReport:
         return f"equivalence fidelity: {self.equivalence_fidelity:.12f}"
 
 
-def _ds_passes(program: Program, target: NativeTarget, memo: dict) -> tuple[Program, list]:
-    """Lower to the target set, then optimize to a fixpoint.
+def _compile_one(program: Program, target: NativeTarget, mode: str, tables) -> tuple[Program, list]:
+    """One segment alone, unchecked: the compiled program and its pass ledger.
 
-    The pass pipeline runs round-robin, each pass on the nodes dirtied since
-    it last ran; a round with no change ends the loop.  Exceeding
-    MAX_PASS_ROUNDS means some rewrite is cycling, which is a bug worth
-    surfacing rather than hiding.
+    ``tables`` are the call's {source gate: its lowering}, {run of
+    single-qubit gates: its synthesis} and {gate in a run: its matrix}, keyed
+    by ``_memo_key``.  The 'domain_specific' mode runs the pass pipeline
+    round-robin after lowering, each pass on the nodes dirtied since it last
+    ran; a round with no change ends the loop.  Exceeding MAX_PASS_ROUNDS
+    means some rewrite is cycling, which is a bug worth surfacing rather than
+    hiding.
     """
-    lowered, synthesized, matrices = _memo_tables(memo, target)
-    links = _Links(_lower_gates(program.gates, target, lowered))
-    applied = [("lower_generic", links.size - len(program.gates))]
-    seen = [0] * len(_PASSES)  # per pass, the clock of its last run
-    for _ in range(MAX_PASS_ROUNDS):
-        changed = False
-        for k, (name, pass_fn) in enumerate(_PASSES):
-            if links.marked < seen[k]:
-                continue  # no node is dirty since the pass last ran
-            since, links.clock = seen[k], links.clock + 1
-            seen[k], size = links.clock, links.size
-            extra = (synthesized, matrices) if pass_fn is _pass_fuse_single_qubit_runs else ()
-            if pass_fn(links, target, since, *extra):
-                applied.append((name, links.size - size))
-                changed = True
-        if not changed:
-            break
-    else:
-        raise CompileError(f"pass pipeline failed to reach a fixpoint in {MAX_PASS_ROUNDS} rounds")
-    # every gate is the program's, or made by a pass on the qubits of one
-    return Program._unchecked(program.num_qubits, tuple(links.in_order())), applied
+    lowered, synthesized, matrices = tables
+    gates = _lower_gates(program.gates, target, lowered)
+    applied = [("lower_generic", len(gates) - len(program.gates))]
+    if mode == "domain_specific":
+        links = _Links(gates)
+        seen = [0] * len(_PASSES)  # per pass, the clock of its last run
+        for _ in range(MAX_PASS_ROUNDS):
+            changed = False
+            for k, (name, pass_fn) in enumerate(_PASSES):
+                if links.marked < seen[k]:
+                    continue  # no node is dirty since the pass last ran
+                since, links.clock = seen[k], links.clock + 1
+                seen[k], size = links.clock, links.size
+                extra = (synthesized, matrices) if pass_fn is _pass_fuse_single_qubit_runs else ()
+                if pass_fn(links, target, since, *extra):
+                    applied.append((name, links.size - size))
+                    changed = True
+            if not changed:
+                break
+        else:
+            raise CompileError(f"pass pipeline failed to reach a fixpoint in {MAX_PASS_ROUNDS} rounds")
+        gates = links.in_order()
+    # every gate is the program's, or made by lowering or a pass on the qubits of one
+    return Program._unchecked(program.num_qubits, tuple(gates)), applied
 
 
-def _compile_one(program: Program, target: NativeTarget, mode: str, memo: dict) -> tuple[Program, list]:
-    # one segment alone, unchecked: the compiled program and its pass ledger
-    if mode == "generic":
-        lowered = lower_generic(program, target, memo)
-        return lowered, [("lower_generic", len(lowered.gates) - len(program.gates))]
-    return _ds_passes(program, target, memo)
-
-
-def _check(sources, compiled, memo: dict) -> list[float]:
+def _check(source: CircuitSeries, compiled: CircuitSeries) -> list[float]:
     """Per segment, the worst overlap |<source|compiled>| on CHECK_STATES states.
 
     Each seeded Haar-random state runs through the source segments end to
     end and through the compiled ones, one ``evolve`` per side over the
-    segments' blocks, each segment fused once per run, read after each
-    segment.  After segment k, with o_c the overlap on state c and phi =
-    o_0/|o_0|, each ||compiled_c - phi source_c|| must be at most CHECK_TOL.
-    That 2-norm moves to first order in a gate's error, where 1 - |o_c| moves
-    to second order (Burgholzer & Wille, IEEE TCAD 40(9), 2021).
+    blocks each series fused, read after each segment.  After segment k,
+    with o_c the overlap on state c and phi = o_0/|o_0|, each
+    ||compiled_c - phi source_c|| must be at most CHECK_TOL.  That 2-norm
+    moves to first order in a gate's error, where 1 - |o_c| moves to second
+    order (Burgholzer & Wille, IEEE TCAD 40(9), 2021).
     """
-    sides = [fuse_segments(programs, memo) for programs in (sources, compiled)]
     rng = np.random.default_rng(CHECK_SEED)
-    phases, worst = [], [1.0] * len(sources)
+    phases, worst = [], [1.0] * len(source.segments)
     for c in range(CHECK_STATES):  # one state at a time
-        state = rng.standard_normal(2 << sources[0].num_qubits).view(np.complex128)
+        state = rng.standard_normal(2 << source.segments[0].num_qubits).view(np.complex128)
         state /= np.linalg.norm(state)
         diff = np.empty_like(state)
-        pairs = zip(evolve(state.copy(), sides[0]), evolve(state, sides[1]))
+        pairs = zip(evolve(state.copy(), source.blocks), evolve(state, compiled.blocks))
         for k, (src, out) in enumerate(pairs):
             overlap = np.vdot(src, out)
             if c == 0:  # a zero overlap leaves the residual at sqrt(2)
@@ -605,44 +594,35 @@ def _check(sources, compiled, memo: dict) -> list[float]:
 
 
 def compile_segments(
-    segments, target: NativeTarget, mode: str, memo: dict | None = None
-) -> list[tuple[Program, CompileReport]]:
-    """Compile each segment of one register alone, then check them all at once.
+    series: CircuitSeries, target: NativeTarget, mode: str
+) -> tuple[CircuitSeries, list[CompileReport]]:
+    """Compile each segment of a series alone, then check them all at once.
 
-    ``mode`` is 'generic' lowering or 'domain_specific' (lowering, then the
-    pass pipeline); the check raises CompileError for a compiled segment that
-    differs from its source.  ``memo`` is a dict that carries work from one
-    call to the next: each distinct source gate's lowering, each distinct
+    Returns the compiled series, in the source's order, and one report per
+    segment.  ``mode`` is 'generic' lowering or 'domain_specific' (lowering,
+    then the pass pipeline); the check raises CompileError for a compiled
+    segment that differs from its source.  The segments share this call's
+    tables of each distinct source gate's lowering, each distinct
     single-qubit run's synthesis (kept even when it is not shorter) and each
     distinct gate's matrix in a run, keyed by whole gates so that a hit
-    returns exactly what the work would, and each segment's fused blocks
-    (see ``fuse_segments``).  Pass one fresh dict to the compilations and
-    the simulation of one run and drop it with the run.
+    returns exactly what the work would; nothing outlives the call.
     """
     if mode not in ("generic", "domain_specific"):
         raise CompileError(f"unknown compile mode {mode!r}")
-    n = max((p.num_qubits for p in segments), default=0)
+    n = series.segments[0].num_qubits
     if n > MAX_QUBITS:  # refused before the check allocates a state
         raise ValueError(f"cannot check a compile on {n} qubits: the check runs at most {MAX_QUBITS}")
-    memo = {} if memo is None else memo
-    done = [_compile_one(program, target, mode, memo) for program in segments]
-    fidelities = _check(segments, [out for out, _ in done], memo) if done else []
-    return [
-        (out, CompileReport(target, gate_counts(src), gate_counts(out), tuple(applied), fidelity))
-        for src, (out, applied), fidelity in zip(segments, done, fidelities)
+    tables = ({}, {}, {})
+    done = [_compile_one(program, target, mode, tables) for program in series.segments]
+    compiled = CircuitSeries(tuple(out for out, _ in done), series.order)
+    fidelities = _check(series, compiled)
+    return compiled, [
+        CompileReport(target, gate_counts(src), gate_counts(out), tuple(applied), fidelity)
+        for src, (out, applied), fidelity in zip(series.segments, done, fidelities)
     ]
 
 
-def compile_program(
-    program: Program, target: NativeTarget, mode: str, memo: dict | None = None
-) -> tuple[Program, CompileReport]:
+def compile_program(program: Program, target: NativeTarget, mode: str) -> tuple[Program, CompileReport]:
     """``compile_segments`` on one program: 'generic' or 'domain_specific' mode."""
-    (result,) = compile_segments([program], target, mode, memo)
-    return result
-
-
-def ds_compile(
-    program: Program, target: NativeTarget, memo: dict | None = None
-) -> tuple[Program, CompileReport]:
-    """Lower, optimize to a fixpoint and check; ``memo`` as for ``compile_segments``."""
-    return compile_program(program, target, "domain_specific", memo)
+    compiled, (report,) = compile_segments(CircuitSeries((program,), (0,)), target, mode)
+    return compiled.segments[0], report

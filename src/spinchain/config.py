@@ -226,12 +226,22 @@ def parse_input_file(path: str) -> RunConfig:
     return parse_input_text(text)
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def load_field_samples(path: str) -> tuple[tuple[float, float], ...]:
     """Read a tabulated drive profile: CSV rows of `time,field`.
 
-    A single header row is allowed.  Times must be strictly increasing.
+    The first line that is not blank or a comment may be a header, whose two
+    fields are both not numbers; any other row that does not parse is an
+    error naming its line.  Times must be strictly increasing.
     """
     rows: list[tuple[float, float]] = []
+    header_allowed = True
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -240,14 +250,12 @@ def load_field_samples(path: str) -> tuple[tuple[float, float], ...]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"{path}: line {line_no}: expected 'time,field'")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                if line_no == 1:
-                    continue
-                raise ConfigError(
-                    f"{path}: line {line_no}: expected numeric 'time,field'"
-                ) from None
+            numbers = [_number(part) for part in parts]
+            if None not in numbers:
+                rows.append((numbers[0], numbers[1]))
+            elif not (header_allowed and numbers == [None, None]):
+                raise ConfigError(f"{path}: line {line_no}: expected numeric 'time,field'")
+            header_allowed = False
     if not rows:
         raise ConfigError(f"{path}: no samples found")
     for (t0, _), (t1, _) in zip(rows, rows[1:]):

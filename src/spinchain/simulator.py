@@ -10,7 +10,7 @@ trajectories from one generator on the run seed.
 
 Every mode moves a state only through ``circuits.evolve``: gates fused into
 blocks on ranges of up to four qubits, each one matmul from the state into a
-spare.  Every mode fuses each distinct step segment of a series once and
+spare.  Every mode runs the blocks a series fused from its step segments and
 reads the state after each step; a noisy run fuses anew, per shot, only the
 steps its drawn Paulis hit.  Every site's <sigma^z>, and each row's sum,
 comes from one pairwise-halving pass over a batch of rows: the probabilities
@@ -27,11 +27,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .circuits import Gate, Program, apply_matrix, evolve, fuse, fuse_segments, gate_matrix, make_gate
+from .circuits import CircuitSeries, Gate, Program, apply_matrix, evolve, fuse, gate_matrix, make_gate
 from .config import register_problems, spin_bit
 
 if TYPE_CHECKING:
-    from .trotter import CircuitSeries, SimulationPlan
+    from .trotter import SimulationPlan
 
 
 class SimulationError(ValueError):
@@ -147,11 +147,7 @@ class NoiseParams:
 
 
 def run_noisy(
-    series: "CircuitSeries",
-    shots: int,
-    noise: NoiseParams,
-    seed: int | np.random.SeedSequence,
-    memo: dict | None = None,
+    series: CircuitSeries, shots: int, noise: NoiseParams, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
     """Monte Carlo Pauli-noise sampling: one trajectory per shot, read after every circuit.
 
@@ -160,18 +156,16 @@ def run_noisy(
     from |0...0> and draws from one generator on ``seed``, in this order: one
     uniform per (gate, touched qubit) in the last circuit's gate order, a hit
     when below p1 (single-qubit gate) or p2; one Pauli (X, Y or Z) per hit;
-    one uniform per circuit.  The segments' hit-free blocks come from
-    ``fuse_segments`` with ``memo`` (as for ``simulate_series``); a shot fuses
-    anew only the steps it hits, with the Paulis spliced in after their
-    gates.  It runs the steps through ``evolve`` and measures the state after
-    each by inverse CDF with its circuit's uniform.
+    one uniform per circuit.  The steps' hit-free blocks are the series'
+    own; a shot fuses anew, with the series' lifted matrices, only the steps
+    it hits, with the Paulis spliced in after their gates.  It runs the steps
+    through ``evolve`` and measures the state after each by inverse CDF with
+    its circuit's uniform.
     """
     if shots < 1:
         raise SimulationError(f"shots must be >= 1, got {shots}")
-    segments, order, memo = series.segments, series.order, {} if memo is None else memo
+    segments, order = series.segments, series.order
     n = segments[0].num_qubits
-    clean = fuse_segments(segments, memo)  # each segment's blocks, hit-free
-    lifted = memo["lifted"]  # the gate matrices every fusion shares
     # per (gate, touched qubit) of each segment: the gate's index in it, the qubit, the gate's width
     slots = [[(i, q, len(g.qubits)) for i, g in enumerate(s.gates) for q in g.qubits] for s in segments]
     # the same over the last circuit, in its gate order, with each slot's step and error probability
@@ -179,6 +173,7 @@ def run_noisy(
     gate, qubit, width = np.array([slot for k in order for slot in slots[k]], np.intp).reshape(-1, 3).T
     p = np.where(width == 1, noise.p1, noise.p2)
     paulis = [[make_gate(kind, [q]) for kind in "xyz"] for q in range(n)]
+    clean = [series.blocks[k] for k in order]  # each step's hit-free blocks
     initial = init_state(n).amplitudes
     counts = np.zeros((len(order), len(initial)), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -186,14 +181,14 @@ def run_noisy(
         hits = np.flatnonzero(rng.random(len(p)) < p)
         kinds = rng.integers(3, size=len(hits)).tolist()
         draws = rng.random(len(order))
-        blocks = [clean[k] for k in order]
+        blocks = clean.copy()
         at = zip(step[hits].tolist(), gate[hits].tolist(), qubit[hits].tolist(), kinds)
         for j, group in itertools.groupby(at, key=lambda hit: hit[0]):
             gates, spliced, start = segments[order[j]].gates, [], 0
             for _, i, q, kind in group:
                 spliced += [*gates[start : i + 1], paulis[q][kind]]
                 start = i + 1
-            blocks[j] = fuse([*spliced, *gates[start:]], n, lifted)
+            blocks[j] = fuse([*spliced, *gates[start:]], n, series.lifted)
         for row, state, u in zip(counts, evolve(initial.copy(), blocks), draws):
             cdf = np.cumsum(np.abs(state) ** 2)
             row[min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)] += 1
@@ -224,18 +219,14 @@ class MagnetizationSeries:
         return len(self.values)
 
 
-def simulate_series(
-    series: "CircuitSeries", plan: "SimulationPlan", *, memo: dict | None = None
-) -> MagnetizationSeries:
+def simulate_series(series: CircuitSeries, plan: "SimulationPlan") -> MagnetizationSeries:
     """Run every circuit of a circuit series and collect magnetizations.
 
     The first segment holds the state-preparation gates, so execution
     always starts from the all-zero state.  Circuit k adds one step segment
-    to circuit k-1, so each distinct segment is fused once, the segments run
+    to circuit k-1, so the blocks the series fused from its segments run
     once in order and the state is read after each; the state of circuit k
-    is bit-identical to running its segments alone.  ``memo`` is passed to
-    ``fuse_segments``, so a run's memo reuses the blocks that the compiler's
-    check fused for the same compiled segments.
+    is bit-identical to running its segments alone.
 
     plan.shots == 0 selects exact expectation values.  Otherwise each circuit
     is sampled with ``plan.shots`` shots, circuit k from the k-th stream that
@@ -246,14 +237,13 @@ def simulate_series(
     """
     steps, n, shots, noise = len(series), series.segments[0].num_qubits, plan.shots, plan.noise
     if shots and noise is not None and (noise.p1 or noise.p2):
-        values = _z_expectations(run_noisy(series, shots, noise, plan.seed, memo), shots)[0]
+        values = _z_expectations(run_noisy(series, shots, noise, plan.seed), shots)[0]
     else:
         streams = np.random.SeedSequence(plan.seed).spawn(steps) if shots else None
         size = max(1, min(steps, _BATCH_ENTRIES >> n))  # circuits read per halving pass
         batch = np.empty((size, 1 << n), np.int64 if shots else float)
         values = np.empty((steps, n))
-        blocks = fuse_segments(series.segments, memo)
-        states = evolve(init_state(n).amplitudes, [blocks[k] for k in series.order])
+        states = evolve(init_state(n).amplitudes, [series.blocks[k] for k in series.order])
         for first in range(0, steps, len(batch)):
             rows = batch[: steps - first]
             for index, row in enumerate(rows, first):  # each state is read before the next

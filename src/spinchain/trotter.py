@@ -15,13 +15,12 @@ and serves as the convergence oracle for the circuits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Gate, GateKind, Program, make_gate
+from .circuits import CircuitSeries, Gate, GateKind, Program, make_gate
 from .config import FIELD_AXIS_CHOICES, run_problems, spin_bit
 from .hamiltonian import HeisenbergModel, field_at, hamiltonian_matrix, validate
 from .simulator import MagnetizationSeries, NoiseParams, init_state
@@ -46,42 +45,6 @@ def _check_inputs(model: HeisenbergModel, plan: SimulationPlan) -> None:
     errors = validate(model) + run_problems(plan)
     if errors:
         raise ValueError("invalid simulation inputs: " + "; ".join(errors))
-
-
-@dataclass(frozen=True, slots=True)
-class CircuitSeries:
-    """The steps+1 circuits of one run: distinct step segments and their order.
-
-    Circuit k adds ``segments[order[k]]`` to circuit k-1; segment order[0] is
-    the state preparation.  A circuit is built only when indexed.
-    """
-
-    segments: tuple[Program, ...]
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        segments, order = tuple(self.segments), tuple(self.order)
-        if not segments or any(
-            not isinstance(s, Program) or s.num_qubits != segments[0].num_qubits for s in segments
-        ):
-            raise ValueError(f"segments must be programs on one register, got {segments!r}")
-        if not order or not all(0 <= k < len(segments) for k in order):
-            raise ValueError(f"order must index {len(segments)} segments, got {order}")
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "order", order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
-    def __getitem__(self, index: int) -> Program:
-        """Circuit ``index`` (negative counts from the end): its segments joined."""
-        steps = self.order[: range(len(self.order))[index] + 1]
-        # each segment passed the Program checks on this register, so the join skips them
-        gates = itertools.chain.from_iterable(self.segments[k].gates for k in steps)
-        return Program._unchecked(self.segments[0].num_qubits, tuple(gates))
 
 
 def state_prep_gates(initial_spins) -> list[Gate]:

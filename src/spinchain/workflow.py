@@ -68,24 +68,22 @@ def prepare_circuits(
 
 
 def compile_series(
-    circuits: CircuitSeries, config: RunConfig, memo: dict | None = None
+    circuits: CircuitSeries, config: RunConfig
 ) -> tuple[CircuitSeries, tuple[CompileReport, ...] | None]:
     """Compile and check each distinct step segment once, when the config asks.
 
     Each step segment is compiled on its own, so no rewrite crosses a step
     mark and every compiled circuit is the compiled prefix of its source;
-    one ``compile_segments`` call checks them all, fusing each segment once.
-    ``memo`` is the run's memo (see ``compile_segments``), which passes those
-    blocks on to the simulation, or None for one that lives as long as this
-    call.  A repeated step reuses its segment's compiled program and
+    one ``compile_segments`` call checks them all through the blocks each
+    series fused, and the compiled series carries its blocks on to the
+    simulation.  A repeated step reuses its segment's compiled program and
     report, so the reports hold one entry per step.
     """
     if config.compile_mode == "none":
         return circuits, None
     target = NativeTarget.from_name(config.backend)
-    compiled = compile_segments(circuits.segments, target, config.compile_mode, memo)
-    series = CircuitSeries(tuple(out for out, _ in compiled), circuits.order)
-    return series, tuple(compiled[k][1] for k in circuits.order)
+    series, reports = compile_segments(circuits, target, config.compile_mode)
+    return series, tuple(reports[k] for k in circuits.order)
 
 
 @dataclass(frozen=True)
@@ -136,13 +134,12 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
     circuits = generate_circuits(build_model(config), plan)
     timings.append(("generate", time.perf_counter() - started))
 
-    memo: dict = {}  # the run's compile tables and fused segments, shared by compile and simulate
     started = time.perf_counter()
-    circuits, reports = compile_series(circuits, config, memo)
+    circuits, reports = compile_series(circuits, config)
     timings.append(("compile", time.perf_counter() - started))
 
     started = time.perf_counter()
-    series = simulate_series(circuits, plan, memo=memo)
+    series = simulate_series(circuits, plan)
     timings.append(("simulate", time.perf_counter() - started))
 
     started = time.perf_counter()

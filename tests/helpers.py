@@ -364,7 +364,7 @@ ORACLE_PASSES = (
 
 
 def full_sweep_ds_compile(program, target):
-    """The reference for ``compiler.ds_compile``: the round-robin pass loop that
+    """The reference for the domain_specific compile: the round-robin pass loop that
     sweeps every gate with every pass oracle in every round, until a round
     changes nothing.  Returns the compiled gate list and the ledger of the
     passes that fired, as ``CompileReport.passes_applied`` holds it.

@@ -16,7 +16,6 @@ from spinchain import (
     NativeTarget,
     SimulationPlan,
     compile_program,
-    ds_compile,
     emit_program,
     exact_evolution,
     generate_circuits,
@@ -189,7 +188,7 @@ def test_criterion_5_compiler_soundness(capsys):
         program = random_program(rng, int(rng.integers(1, 5)), int(rng.integers(0, 31)))
         for target in (NativeTarget.IBM, NativeTarget.RIGETTI):
             generic, _ = compile_program(program, target, "generic")
-            ds, _ = ds_compile(program, target)
+            ds, _ = compile_program(program, target, "domain_specific")
             generic_fidelity = _dense_fidelity(program, generic)
             ds_fidelity = _dense_fidelity(program, ds)
             worst_fidelity = min(worst_fidelity, generic_fidelity, ds_fidelity)
@@ -206,7 +205,7 @@ def test_criterion_5_compiler_soundness(capsys):
     for target in (NativeTarget.IBM, NativeTarget.RIGETTI):
         for k, program in enumerate(_tfim_series()):
             generic, _ = compile_program(program, target, "generic")
-            ds, _ = ds_compile(program, target)
+            ds, _ = compile_program(program, target, "domain_specific")
             generic_fidelity = _dense_fidelity(program, generic)
             ds_fidelity = _dense_fidelity(program, ds)
             worst_fidelity = min(worst_fidelity, generic_fidelity, ds_fidelity)
@@ -251,8 +250,8 @@ def test_criterion_6_idempotence_and_determinism(capsys, tmp_path):
         programs = [_tfim_series(steps=4)[4]]
         programs += [random_program(rng, 3, 12) for _ in range(10)]
         for program in programs:
-            once, _ = ds_compile(program, target)
-            twice, _ = ds_compile(once, target)
+            once, _ = compile_program(program, target, "domain_specific")
+            twice, _ = compile_program(once, target, "domain_specific")
             if twice.gates != once.gates:
                 idempotent = False
 
@@ -274,7 +273,7 @@ def test_criterion_6_idempotence_and_determinism(capsys, tmp_path):
         capsys,
         6,
         ok,
-        f"(ds_compile idempotent: {idempotent}; two runs, {len(tree_a)} data/ files "
+        f"(ds compile idempotent: {idempotent}; two runs, {len(tree_a)} data/ files "
         f"byte-identical: {identical})",
     )
     assert idempotent

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    CircuitSeries,
     FieldProfile,
     GateError,
     GateKind,
@@ -23,7 +24,7 @@ from spinchain import (
     run_statevector,
 )
 from spinchain import circuits
-from spinchain.circuits import apply_matrix, evolve, fuse, fuse_segments
+from spinchain.circuits import apply_matrix, evolve, fuse
 from spinchain.workflow import prepare_circuits
 from helpers import dense_gate_oracle, random_program, segment, unitary_equivalent
 
@@ -411,8 +412,7 @@ def test_evolve_blocks_stay_within_four_qubits_and_short_of_the_register(monkeyp
         assert n < 3 or max(widths) < n
     series = _chain_series(16, 3)
     applied.clear()
-    blocks = fuse_segments(series.segments)
-    list(evolve(init_state(16).amplitudes, [blocks[k] for k in series.order]))
+    list(evolve(init_state(16).amplitudes, [series.blocks[k] for k in series.order]))
     assert max(map(len, applied)) == 4 and all(map(is_range, applied))
 
 
@@ -431,7 +431,7 @@ def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):
 
 
 def _count_fused_gates(monkeypatch):
-    """Per ``fuse`` call as ``fuse_segments`` looks it up, the gates fused."""
+    """Per ``fuse`` call as ``CircuitSeries`` looks it up, the gates fused."""
     fused = []
 
     def counted(gates, *args):
@@ -442,10 +442,10 @@ def _count_fused_gates(monkeypatch):
     return fused
 
 
-def _run_series(start, segments, order, memo=None):
-    """The state after each step, each distinct segment fused once, copied as yielded."""
-    blocks = fuse_segments(segments, memo)
-    return [s.copy() for s in evolve(start.copy(), [blocks[k] for k in order])]
+def _run_series(start, series):
+    """The state after each circuit of the series, through the blocks it fused
+    from each distinct segment once, copied as yielded."""
+    return [s.copy() for s in evolve(start.copy(), [series.blocks[k] for k in series.order])]
 
 
 def _random_gate_on(rng, qubit, kinds):
@@ -471,7 +471,7 @@ def test_evolve_replays_alternating_segments_exactly(monkeypatch):
             stretches = [segments[k].gates for k in order]
             expected = _assert_each_state_is_its_stretches_alone(stretches, n)
             fused.append(_count_fused_gates(monkeypatch))
-            replayed = _run_series(_start(n), segments, order)
+            replayed = _run_series(_start(n), CircuitSeries(segments, order))
             monkeypatch.undo()
             assert all(np.array_equal(x, y) for x, y in zip(expected, replayed, strict=True))
         # each distinct segment is fused once, however often it repeats
@@ -493,7 +493,7 @@ def test_evolve_replays_a_compiled_constant_field_series_exactly():
     assert len(series.segments) == 2
     stretches = [segment(series, k).gates for k in range(len(series))]
     expected = _assert_each_state_is_its_stretches_alone(stretches, 4)
-    replayed = _run_series(_start(4), series.segments, series.order)
+    replayed = _run_series(_start(4), series)
     assert all(np.array_equal(x, y) for x, y in zip(expected, replayed, strict=True))
 
 
@@ -504,7 +504,7 @@ def test_evolve_fold_work_does_not_grow_with_repeated_steps(monkeypatch):
         for steps in (40, 160):
             series = _constant_field_series(n, steps)
             fused.append(_count_fused_gates(monkeypatch))
-            states = _run_series(init_state(n).amplitudes, series.segments, series.order)
+            states = _run_series(init_state(n).amplitudes, CircuitSeries(series.segments, series.order))
             monkeypatch.undo()
             assert len(states) == steps + 1
         # one fuse call per distinct segment: state prep and one step
@@ -526,38 +526,41 @@ def _count_matrix_builds(monkeypatch):
     return built
 
 
-def test_evolve_with_a_shared_memo_equals_memo_less_calls(monkeypatch):
+def test_series_blocks_replay_from_any_start_state(monkeypatch):
     rng = np.random.default_rng(31)
     segments = (random_program(rng, 5, 40), random_program(rng, 5, 40))
     order = (0, 1, 1, 0)
     prepared = init_state(5, ["up", "down", "down", "up", "down"])
     start = prepared.amplitudes
-    alone = _run_series(start, segments, order)
-    memo: dict = {}
-    first = _run_series(start, segments, order, memo)
+    series = CircuitSeries(segments, order)
+    first = _run_series(start, series)
     built = _count_matrix_builds(monkeypatch)
-    # a second run over the same segments, from another state, reuses the first's blocks
+    # a second run of the same series, from another state, builds no matrix
     other = apply_gate(prepared, make_gate("h", [2])).amplitudes
-    second = _run_series(other, segments, order, memo)
+    second = _run_series(other, series)
     assert built[0] == 0
     monkeypatch.undo()
-    assert all(np.array_equal(x, y) for x, y in zip(alone, first, strict=True))
-    plain = _run_series(other, segments, order)
+    stretches = [segments[k].gates for k in order]
+    assert all(np.array_equal(x, y) for x, y in zip(_run(start, stretches, 5), first, strict=True))
+    plain = _run_series(other, CircuitSeries(segments, order))
     assert all(np.array_equal(x, y) for x, y in zip(plain, second, strict=True))
 
 
-def test_evolve_memo_never_replays_across_widths():
+def test_series_blocks_follow_the_register_width():
     # the same gates at widths 4 and 5 fuse into different blocks (ranges of
-    # at most 3 qubits at n=4, 4 at n=5)
+    # at most 3 qubits at n=4, 4 at n=5); a lift table shared across widths
+    # fuses the blocks a fresh one does
     rng = np.random.default_rng(37)
     gates = random_program(rng, 4, 60).gates
-    memo: dict = {}
+    lifted: dict = {}
     widths = {}
     for n in (4, 5, 4):
-        segments = (Program(n, gates),)
+        series = CircuitSeries((Program(n, gates),), (0, 0, 0))
         start = init_state(n, ["down" if q % 2 else "up" for q in range(n)]).amplitudes
-        plain = _run_series(start, segments, (0, 0, 0))
-        shared = _run_series(start, segments, (0, 0, 0), memo)
-        assert all(np.array_equal(x, y) for x, y in zip(plain, shared, strict=True))
-        widths[n] = max(len(on) for _, on in fuse_segments(segments, memo)[0])
+        plain = _run(start, [gates] * 3, n)
+        assert all(np.array_equal(x, y) for x, y in zip(plain, _run_series(start, series), strict=True))
+        shared = fuse(gates, n, lifted)
+        assert [on for _, on in shared] == [on for _, on in series.blocks[0]]
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(shared, series.blocks[0]))
+        widths[n] = max(len(on) for _, on in series.blocks[0])
     assert widths == {4: 3, 5: 4}

@@ -1,8 +1,9 @@
-"""The linear ds passes and the per-run compile memo.
+"""The linear ds passes and the tables one compile of a series shares.
 
 Each linked-list pass must return exactly the list its quadratic oracle in
-``helpers`` returns.  The memo must do each distinct lowering and synthesis
-once per run, and no work may be kept from one run to the next.
+``helpers`` returns.  The segments of one ``compile_segments`` call share its
+memo tables, which must do each distinct lowering and synthesis once per run
+and keep no work from one run to the next.
 """
 
 from dataclasses import replace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    CircuitSeries,
     GateKind,
     NativeTarget,
     Program,
@@ -105,21 +107,37 @@ def test_links_next_touching_needs_one_node_on_every_wire():
 
 
 @pytest.mark.parametrize("target", TARGETS)
-def test_shared_memo_gives_the_output_of_separate_compiles(target):
+def test_shared_memo_gives_the_output_of_separate_compiles(target, monkeypatch):
+    # the segments of one series share the call's tables; each segment must
+    # compile as it does alone
     rng = np.random.default_rng(77)
     programs = [random_program(rng, 3, int(rng.integers(1, 25)), DENSE_KINDS) for _ in range(20)]
-    memo = {}
-    for program in programs * 2:
-        shared, shared_report = compiler.ds_compile(program, target, memo)
-        alone, alone_report = compiler.ds_compile(program, target)
-        assert shared.gates == alone.gates
-        assert shared_report == alone_report
-    lowered, synthesized, matrices = memo[target]
+    series = CircuitSeries(tuple(programs * 2), tuple(range(40)))
+    tables = []
+    compile_one = compiler._compile_one
+
+    def recording(program, target, mode, shared):
+        tables.append(shared)
+        return compile_one(program, target, mode, shared)
+
+    monkeypatch.setattr(compiler, "_compile_one", recording)
+    compiled, reports = compiler.compile_segments(series, target, "domain_specific")
+    monkeypatch.undo()
+    assert len(tables) == 40 and all(t is tables[0] for t in tables)
+    lowered, synthesized, matrices = tables[0]
     assert lowered and synthesized and matrices
+    for program, shared, shared_report in zip(series.segments, compiled.segments, reports):
+        alone, alone_report = compiler.compile_program(program, target, "domain_specific")
+        assert shared.gates == alone.gates
+        # the check runs each segment after the ones before it, so its overlap
+        # may differ from a lone compile's in the last bits, not in the report
+        unchecked = dict(equivalence_fidelity=None)
+        assert replace(shared_report, **unchecked) == replace(alone_report, **unchecked)
+        assert shared_report.fidelity_line() == alone_report.fidelity_line()
 
 
 def test_memo_keeps_signed_zero_angles_apart():
-    # -0.0 == 0.0, but the two print differently; the memo must not merge them
+    # -0.0 == 0.0, but the two print differently; the compile tables must not merge them
     program = Program(
         2,
         (
@@ -128,7 +146,7 @@ def test_memo_keeps_signed_zero_angles_apart():
             make_gate("rx", [0], [-0.0]),
         ),
     )
-    out, _ = compiler.ds_compile(program, NativeTarget.IBM, {})
+    out, _ = compiler.compile_program(program, NativeTarget.IBM, "domain_specific")
     thetas = [g.angles[0] for g in out.gates if g.kind is GateKind.U3]
     assert [str(t) for t in thetas] == ["0.0", "-0.0"]
 

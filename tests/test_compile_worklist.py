@@ -1,4 +1,4 @@
-"""The dirty-node worklist of ``ds_compile`` and the gates it builds unchecked.
+"""The dirty-node worklist of the ds compile and the gates it builds unchecked.
 
 Each compile must equal the full-sweep round-robin loop kept in ``helpers``
 as the reference: the same gates, angles compared by their text so that
@@ -26,12 +26,22 @@ def _text(gates):
     return [(g.kind, g.qubits, repr(g.angles)) for g in gates]
 
 
-def _assert_matches_full_sweep(program, target, memo=None):
-    compiled, report = compiler.ds_compile(program, target, memo)
+def _assert_matches_full_sweep(program, target, compiled=None, report=None):
+    """The compile of program (by default, alone) against the full sweep."""
+    if compiled is None:
+        compiled, report = compiler.compile_program(program, target, "domain_specific")
     gates, applied = full_sweep_ds_compile(program, target)
     assert _text(compiled.gates) == _text(gates)
     assert report.passes_applied == applied
     return compiled, report
+
+
+def _compile_together(series, target):
+    """Each segment of the series, compiled in one call, against the full sweep."""
+    compiled, reports = compiler.compile_segments(series, target, "domain_specific")
+    for segment, out, report in zip(series.segments, compiled.segments, reports):
+        _assert_matches_full_sweep(segment, target, out, report)
+    return compiled.segments
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -50,26 +60,22 @@ def test_worklist_equals_full_sweep_on_random_programs(target, num_qubits):
     assert later_rounds >= 10  # the comparison reached the worklist's later rounds
 
 
-def _segments(config):
+def _source(config):
     circuits, _ = workflow.prepare_circuits(replace(config, compile_mode="none"))
-    return circuits.segments
+    return circuits
 
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda path: path.stem)
 def test_worklist_equals_full_sweep_on_sample_segments(target, sample):
-    memo = {}  # shared by the segments, as in a run
-    for segment in _segments(parse_input_file(str(sample))):
-        _assert_matches_full_sweep(segment, target, memo)
+    _compile_together(_source(parse_input_file(str(sample))), target)  # as in a run
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_worklist_equals_full_sweep_on_compiled_sampled_segments(target):
-    segments = _segments(COMPILED_SAMPLED)
-    assert len(segments) == 13
-    memo = {}
-    for segment in segments:
-        _assert_matches_full_sweep(segment, target, memo)
+    source = _source(COMPILED_SAMPLED)
+    assert len(source.segments) == 13
+    _compile_together(source, target)
 
 
 def test_later_rounds_visit_only_dirty_nodes(monkeypatch):
@@ -88,7 +94,7 @@ def test_later_rounds_visit_only_dirty_nodes(monkeypatch):
 
     passes = [(name, watched(k, fn)) for k, (name, fn) in enumerate(compiler._PASSES)]
     monkeypatch.setattr(compiler, "_PASSES", tuple(passes))
-    compiler.ds_compile(_segments(COMPILED_SAMPLED)[1], NativeTarget.RIGETTI)
+    compiler.compile_program(_source(COMPILED_SAMPLED).segments[1], NativeTarget.RIGETTI, "domain_specific")
     assert all(dirty == size > 100 for _, dirty, size in visits[: len(passes)])
     # after the first round no pass sees the whole list, and the round that
     # finds the fixpoint sees only a few nodes
@@ -108,7 +114,7 @@ def test_pipeline_that_never_settles_raises(monkeypatch):
     monkeypatch.setattr(compiler, "_PASSES", (("restless", restless),))
     program = Program(1, (make_gate("rz", [0], [0.3]),))
     with pytest.raises(compiler.CompileError, match="fixpoint"):
-        compiler.ds_compile(program, NativeTarget.RIGETTI)
+        compiler.compile_program(program, NativeTarget.RIGETTI, "domain_specific")
 
 
 def _compiled_outputs():
@@ -116,10 +122,8 @@ def _compiled_outputs():
     for target in TARGETS:
         for trial in range(40):
             program = random_program(rng, 1 + trial % 4, int(rng.integers(1, 30)), ALL_KINDS)
-            yield compiler.ds_compile(program, target)[0]
-        memo = {}
-        for segment in _segments(COMPILED_SAMPLED):
-            yield compiler.ds_compile(segment, target, memo)[0]
+            yield compiler.compile_program(program, target, "domain_specific")[0]
+        yield from _compile_together(_source(COMPILED_SAMPLED), target)
 
 
 def test_compiled_gates_are_the_gates_make_gate_builds():

@@ -12,7 +12,6 @@ from spinchain import (
     SimulationPlan,
     compile_program,
     compiler,
-    ds_compile,
     generate_circuits,
     lower_generic,
     make_gate,
@@ -300,21 +299,21 @@ def test_ds_compile_random_programs(target):
     for _ in range(25):
         source = random_program(rng, 3, int(rng.integers(1, 20)))
         generic, generic_report = compile_program(source, target, "generic")
-        ds, ds_report = ds_compile(source, target)
+        ds, ds_report = compile_program(source, target, "domain_specific")
         for report in (generic_report, ds_report):
             assert report.equivalence_checked
             assert report.equivalence_fidelity >= 1 - 1e-8
         assert conforms(generic, target)
         assert conforms(ds, target)
         assert len(ds) <= len(generic)
-        twice, _ = ds_compile(ds, target)
+        twice, _ = compile_program(ds, target, "domain_specific")
         assert twice.gates == ds.gates
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_double_hadamard_compiles_to_nothing(target):
     p = Program(1, (make_gate("h", [0]), make_gate("h", [0])))
-    out, report = ds_compile(p, target)
+    out, report = compile_program(p, target, "domain_specific")
     assert out.gates == ()
     assert report.equivalence_fidelity == pytest.approx(1.0)
 
@@ -327,7 +326,7 @@ def test_tfim_series_strict_improvement(target):
     plan = SimulationPlan(num_qubits=3, initial_spins=None, delta_t=0.1, steps=2)
     program = generate_circuits(model, plan)[2]
     generic, _ = compile_program(program, target, "generic")
-    ds, ds_report = ds_compile(program, target)
+    ds, ds_report = compile_program(program, target, "domain_specific")
     assert len(ds) < len(generic)
     assert ds_report.equivalence_fidelity >= 1 - 1e-8
 
@@ -338,7 +337,7 @@ def test_report_pass_ledger():
     )
     plan = SimulationPlan(num_qubits=2, initial_spins=None, delta_t=0.1, steps=1)
     program = generate_circuits(model, plan)[1]
-    _, report = ds_compile(program, NativeTarget.IBM)
+    _, report = compile_program(program, NativeTarget.IBM, "domain_specific")
     names = [name for name, _ in report.passes_applied]
     assert names[0] == "lower_generic"
     assert len(names) > 1
@@ -361,14 +360,14 @@ def test_compile_program_dispatch():
 # The equivalence check
 
 
-def _driven_segments(n, steps=2):
+def _driven_series(n, steps=2):
     model = HeisenbergModel(
         jx=1.0, jy=0.8, jz=0.5, field_axis="x",
         field=FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.25),
     )
     spins = tuple("up" if q < n // 2 else "down" for q in range(n))
     plan = SimulationPlan(num_qubits=n, initial_spins=spins, delta_t=0.05, steps=steps)
-    return generate_circuits(model, plan).segments
+    return generate_circuits(model, plan)
 
 
 def _commute(a, b):
@@ -401,30 +400,31 @@ def _swap_two_non_commuting_gates(gates):
 @pytest.mark.parametrize("n", [6, 12, 16])
 @pytest.mark.parametrize("mutate", [_bend_one_rz, _drop_one_gate, _swap_two_non_commuting_gates])
 def test_check_rejects_a_broken_compiled_segment(monkeypatch, n, mutate):
-    segments = _driven_segments(n)
+    series = _driven_series(n)
     compile_one = compiler._compile_one
     broken = []
 
-    def compile_then_break(program, target, mode, memo):
-        compiled, applied = compile_one(program, target, mode, memo)
-        if program is segments[1]:  # a step between two correct segments
+    def compile_then_break(program, target, mode, tables):
+        compiled, applied = compile_one(program, target, mode, tables)
+        if program is series.segments[1]:  # a step between two correct segments
             compiled = Program(compiled.num_qubits, mutate(compiled.gates))
             broken.append(compiled)
         return compiled, applied
 
     monkeypatch.setattr(compiler, "_compile_one", compile_then_break)
     with pytest.raises(CompileError, match=r"compiled segment 1 differs from its source: residual="):
-        compiler.compile_segments(segments, NativeTarget.RIGETTI, "domain_specific")
+        compiler.compile_segments(series, NativeTarget.RIGETTI, "domain_specific")
     assert len(broken) == 1
 
 
 @pytest.mark.parametrize("n", range(11, 17))
 def test_check_passes_a_correct_driven_compile_at_every_width(n):
-    segments = _driven_segments(n)
-    results = compiler.compile_segments(segments, NativeTarget.RIGETTI, "domain_specific")
-    assert len(results) == len(segments) == 3
-    for compiled, report in results:
-        assert conforms(compiled, NativeTarget.RIGETTI)
+    series = _driven_series(n)
+    compiled, reports = compiler.compile_segments(series, NativeTarget.RIGETTI, "domain_specific")
+    assert len(reports) == len(compiled.segments) == len(series.segments) == 3
+    assert compiled.order == series.order
+    for program, report in zip(compiled.segments, reports):
+        assert conforms(program, NativeTarget.RIGETTI)
         assert report.fidelity_line() == "equivalence fidelity: 1.000000000000"
 
 
@@ -432,4 +432,3 @@ def test_compile_segments_refuses_a_register_wider_than_the_simulator():
     # refused before any state is allocated
     with pytest.raises(ValueError, match="cannot check a compile on 25 qubits"):
         compile_program(Program(25, (make_gate("h", [24]),)), NativeTarget.IBM, "generic")
-    assert compiler.compile_segments([], NativeTarget.IBM, "generic") == []

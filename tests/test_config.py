@@ -142,6 +142,9 @@ def test_field_samples_header_and_comments(tmp_path):
     path = tmp_path / "drive.csv"
     path.write_text("time,field\n# ramp\n0.0,1.0\n1.0,0.0\n")
     assert load_field_samples(str(path)) == ((0.0, 1.0), (1.0, 0.0))
+    # the header is the first line that is not a comment
+    path.write_text("# profile\ntime,field\n0,1\n")
+    assert load_field_samples(str(path)) == ((0.0, 1.0),)
 
 
 @pytest.mark.parametrize(
@@ -152,6 +155,10 @@ def test_field_samples_header_and_comments(tmp_path):
         ("", "no samples"),
         ("time,field\n", "no samples"),
         ("0.0,1.0\nbad,row\n", "line 2"),
+        # a header has no number in it: a first row with one is a bad data row
+        ("0,1x\n1,2\n2,3\n", "line 1: expected numeric"),
+        ("time,1\n1,2\n", "line 1: expected numeric"),
+        ("# profile\n0,1x\n1,2\n", "line 2: expected numeric"),
         ("0.0\n", "expected 'time,field'"),
         ("0.0,1.0,2.0\n", "expected 'time,field'"),
     ],

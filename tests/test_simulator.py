@@ -27,7 +27,7 @@ from spinchain import (
     simulate_series,
 )
 from spinchain import simulator
-from spinchain.circuits import evolve, fuse_segments
+from spinchain.circuits import evolve, fuse
 from spinchain.workflow import build_plan, prepare_circuits
 from helpers import (
     counts_dict_oracle,
@@ -296,7 +296,7 @@ def test_run_noisy_edge_cases():
 
 
 def _count_fused(monkeypatch):
-    # every fuse call: the hit-free segments through circuits.fuse_segments,
+    # every fuse call: the hit-free segments as CircuitSeries looks it up,
     # the hit ones through the simulator's own name
     from spinchain import circuits
 
@@ -316,11 +316,11 @@ def test_noisy_run_fuses_each_hit_free_interval_once(monkeypatch):
     # never hit, and those of CNOTs are hit in most shots
     xs = Program(3, tuple(make_gate("x", [q]) for q in range(3)))
     cnots = Program(3, (make_gate("cnot", [0, 1]), make_gate("cnot", [1, 2])))
-    series = CircuitSeries((xs, cnots), (0, 1, 0, 1, 0))  # one X segment object, three times
     noise = NoiseParams(p1=0.0, p2=0.5)
     fused = _count_fused(monkeypatch)
     for shots in (20, 100):
         fused.clear()
+        series = CircuitSeries((xs, cnots), (0, 1, 0, 1, 0))  # one X segment object, three times
         run_noisy(series, shots, noise, seed=2)
         # each distinct segment once before the shots; per shot only those with a Pauli
         assert fused[:2] == [xs.gates, cnots.gates]
@@ -331,8 +331,8 @@ def test_noisy_run_fuses_each_hit_free_interval_once(monkeypatch):
 
 def test_noisy_run_fuses_a_long_constant_field_series_once_per_segment(monkeypatch):
     config = replace(NOISY_CHAIN, num_qubits=6, initial_spins=None, delta_t=0.05, steps=160)
-    series, _ = prepare_circuits(config)
     fused = _count_fused(monkeypatch)
+    series, _ = prepare_circuits(config)
     counts = run_noisy(series, 4, NoiseParams(p1=1e-9, p2=1e-9), seed=1)
     assert len(fused) == len(series.segments) == 2
     assert counts.shape == (161, 64) and list(counts.sum(axis=1)) == [4] * 161
@@ -429,7 +429,7 @@ def _tiny_series():
 def _segments_alone(circuits, index):
     """Circuit ``index`` run as its own segments, each fused alone."""
     n = circuits.segments[0].num_qubits
-    blocks = [fuse_segments([segment(circuits, k)])[0] for k in range(index + 1)]
+    blocks = [fuse(segment(circuits, k).gates, n) for k in range(index + 1)]
     *_, state = evolve(init_state(n).amplitudes, blocks)
     return StateVector(n, state)
 

@@ -44,7 +44,7 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
         path.write_text("Jz = 1.0\nh_ext = 2.0\nnum_qubits = 2\nsteps = 2\nshots = 8\n")
         tracer.start_op(0)
         assert spinchain.cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-        # a compiled, sampled run: simulate_series also gets the run's memo
+        # a compiled, sampled run: simulate_series gets the compiled series
         compiled = tmp_path / "compiled.txt"
         compiled.write_text(path.read_text() + "backend = rigetti\ncompile = domain_specific\n")
         tracer.start_op(1)
@@ -114,8 +114,7 @@ def test_prepare_circuits_compiles_every_step_of_a_sinusoid(monkeypatch):
 def test_simulation_replays_the_fold_of_the_check(monkeypatch):
     plan = build_plan(SINUSOID)
     source = generate_circuits(build_model(SINUSOID), plan)
-    memo: dict = {}
-    circuits, _ = compile_series(source, SINUSOID, memo)
+    circuits, _ = compile_series(source, SINUSOID)
     assert circuits.order == tuple(range(len(circuits.segments)))  # all distinct
     built = [0]
     for name in ("gate_matrix", "_embed"):
@@ -126,21 +125,22 @@ def test_simulation_replays_the_fold_of_the_check(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(spinchain.circuits, name, counted)
-    shared = simulate_series(circuits, plan, memo=memo)
+    shared = simulate_series(circuits, plan)
     assert built[0] == 0
     monkeypatch.undo()
-    assert shared == simulate_series(circuits, plan)
+    fresh = replace(circuits)  # the same segments, fused anew
+    assert fresh.blocks is not circuits.blocks
+    assert shared == simulate_series(fresh, plan)
 
 
 @pytest.mark.parametrize("p", [1e-9, 0.05])
 def test_noisy_simulation_replays_the_fold_of_the_check(monkeypatch, p):
-    # the noisy path takes its hit-free blocks from the run's memo, so it
-    # builds only the matrices of the Paulis its hits splice in
+    # the noisy path takes its hit-free blocks from the compiled series, so
+    # it builds only the matrices of the Paulis its hits splice in
     config = replace(SINUSOID, shots=64, noise_choice=True)
     plan = replace(build_plan(config), noise=NoiseParams(p1=p, p2=p))
     source = generate_circuits(build_model(config), plan)
-    memo: dict = {}
-    circuits, _ = compile_series(source, config, memo)
+    circuits, _ = compile_series(source, config)
     built = []
     for name in ("gate_matrix", "_embed"):
         original = getattr(spinchain.circuits, name)
@@ -150,16 +150,38 @@ def test_noisy_simulation_replays_the_fold_of_the_check(monkeypatch, p):
             return _original(first, *args)
 
         monkeypatch.setattr(spinchain.circuits, name, counted)
-    shared = simulate_series(circuits, plan, memo=memo)
+    shared = simulate_series(circuits, plan)
+    counts = run_noisy(circuits, plan.shots, plan.noise, plan.seed)
     monkeypatch.undo()
-    assert shared == simulate_series(circuits, plan)
-    counts = run_noisy(circuits, plan.shots, plan.noise, plan.seed, memo)
-    assert np.array_equal(counts, run_noisy(circuits, plan.shots, plan.noise, plan.seed))
+    fresh = replace(circuits)  # the same segments, fused anew
+    assert shared == simulate_series(fresh, plan)
+    assert np.array_equal(counts, run_noisy(fresh, plan.shots, plan.noise, plan.seed))
     paulis = {g.kind.value for name, g in built if name == "gate_matrix"}
     if p < 1e-6:  # no shot is hit: nothing is fused anew
         assert built == []
     else:
         assert paulis and paulis <= {"x", "y", "z"}
+
+
+@pytest.mark.parametrize(
+    "config", [CONSTANT, SINUSOID, replace(SINUSOID, compile_mode="none")],
+    ids=["constant", "sinusoid", "uncompiled"],
+)
+def test_a_run_fuses_each_distinct_segment_once(tmp_path, monkeypatch, config):
+    # one fuse call per segment of the source series and, when compiled, one
+    # per segment of the compiled series; the check and the simulation fuse none
+    distinct = len(generate_circuits(build_model(config), build_plan(config)).segments)
+    calls = [0]
+    original = spinchain.circuits.fuse
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(spinchain.circuits, "fuse", counted)
+    monkeypatch.setattr(spinchain.simulator, "fuse", counted)
+    run_workflow(config, str(tmp_path))
+    assert calls[0] == distinct * (1 if config.compile_mode == "none" else 2)
 
 
 @pytest.mark.parametrize("config", [CONSTANT, SINUSOID], ids=["constant", "sinusoid"])

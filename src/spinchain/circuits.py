@@ -11,10 +11,11 @@ another: one matmul on a reshaped view when the qubits form a range, and a
 gather through the target array for any other set.  ``fuse`` folds one
 stretch of gates into blocks on ranges of up to four qubits, one open block
 at a time, and ``evolve`` applies lists of blocks to a state, yielding it
-after each list.
+after each list; ``fuse_group`` folds stretches with one skeleton (gates on
+the same qubits in turn) in one walk, each to the bits of its own blocks.
 A run holds its circuits as a ``CircuitSeries`` of step segments, which fuses
-each segment once when it is built, for the simulator and the compiler's
-equivalence check; ``program_unitary`` fuses its program.
+them, by skeleton, once when it is built, for the simulator and the
+compiler's equivalence check; ``program_unitary`` fuses its program.
 """
 
 from __future__ import annotations
@@ -291,8 +292,11 @@ _ZERO = np.zeros(1, dtype=np.complex128)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron of two square matrices, without its per-call overhead
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    # np.kron of two square matrices or stacks of them, without its per-call overhead
+    if a.ndim == b.ndim == 2:
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
 @functools.cache  # k <= 4 in fuse, so it holds a few dozen arrays
@@ -310,49 +314,74 @@ def _spread(k: int, places: tuple[int, ...]) -> np.ndarray:
 
 
 def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.ndarray:
-    # m on qubits (its high bit first) as the matrix on their ascending superset on
-    return np.concatenate((m.ravel(), _ZERO))[_spread(len(on), tuple(map(on.index, qubits)))]
+    # m on qubits (its high bit first), or a stack of such, as the matrix on their superset on
+    index = _spread(len(on), tuple(map(on.index, qubits)))
+    if m.ndim == 2:
+        return np.concatenate((m.ravel(), _ZERO))[index]
+    return np.concatenate((m.reshape(len(m), -1), np.zeros((len(m), 1), m.dtype)), axis=1)[:, index]
+
+
+def _lift(item, lifted: dict, on: tuple[int, ...]) -> np.ndarray:
+    # the matrix on on (its qubits or an ascending superset) of a gate lifted lacks, now
+    # kept there, or a tuple of gates' stack; callers look up first, so a hit makes no call
+    if type(item) is tuple:
+        return np.stack([_lift(g, lifted, on) if (m := lifted.get((g, on))) is None else m for g in item])
+    qubits = item.qubits
+    m = lifted.get((item, qubits))
+    if m is None:
+        m = lifted[(item, qubits)] = gate_matrix(item)
+    if on != qubits:
+        m = lifted[(item, on)] = _embed(m, qubits, on)
+    return m
 
 
 def fuse(gates, n: int, lifted: dict | None = None) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The blocks ``(matrix, qubits)`` that apply ``gates`` on n qubits, in order.
+    """The blocks ``(matrix, qubits)`` that apply ``gates`` on n qubits: ``fuse_group`` of one list."""
+    return fuse_group((gates,), n, lifted)[0]
 
-    Gates fold into one open block on an ascending set of qubits.  A two-qubit
-    gate that reaches outside the set grows it while the set stays a range of
-    at most min(4, max(2, n-1)) of the n qubits, which ``apply_matrix`` applies
-    in one matmul; otherwise the block is closed and a block on the gate's own
-    pair opens.  A gate inside the set folds in by a small matmul with its
-    matrix lifted onto the set.  A single-qubit gate outside the set commutes
-    with every gate since, so its product waits on its qubit and joins the
-    block with that qubit.  The last blocks are the open block and then the
-    waiting products, on ranges of adjacent qubits within the same bound.
-    ``lifted`` keeps each gate's matrix on each set of qubits from one call to
-    the next (None: a fresh dict); it does not depend on n.
+
+def fuse_group(lists, n: int, lifted: dict | None = None) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
+    """Per gate list, the blocks ``(matrix, qubits)`` that apply it on n qubits.
+
+    The lists share one skeleton, gates on the same qubits in turn (else
+    ValueError), and it alone decides the blocks.  Gates fold into one open
+    block on an ascending set of qubits.  A two-qubit gate that reaches
+    outside the set grows it while the set stays a range of at most
+    min(4, max(2, n-1)) of the n qubits, which ``apply_matrix`` applies in one
+    matmul; otherwise the block is closed and a block on the gate's own pair
+    opens.  A gate inside the set folds in by a small matmul with its matrix
+    lifted onto the set.  A single-qubit gate outside the set commutes with
+    every gate since, so its product waits on its qubit and joins the block
+    with that qubit.  The last blocks are the open block and then the waiting
+    products, on ranges of adjacent qubits within the same bound.  A position
+    whose lists hold one gate lifts one matrix, any other a stack of one per
+    list; a product, join or embedding on a stack makes per slice the numpy
+    call that list alone would, so each list's blocks are bit-identical to
+    fusing it alone.  ``lifted`` keeps each gate's matrix on each set of
+    qubits from one call to the next (None: a fresh dict); it does not depend
+    on n.
     """
     limit = min(4, max(2, n - 1))  # a block holds at most 4 qubits, and fewer than n once n >= 3
     lifted = {} if lifted is None else lifted
-
-    def lift(gate: Gate, on: tuple[int, ...]) -> np.ndarray:
-        # the gate's matrix on on (its own qubits, or an ascending superset)
-        m = lifted.get((gate, on))
-        if m is None:
-            qubits = gate.qubits
-            m = lifted.get((gate, qubits))
-            if m is None:
-                m = lifted[(gate, qubits)] = gate_matrix(gate)
-            if on != qubits:
-                m = lifted[(gate, on)] = _embed(m, qubits, on)
-        return m
+    first, *rest = map(tuple, lists)
+    items = first  # per position, the gate every list holds, or the tuple of their gates
+    if rest:  # count tests identity first: lowering and synthesis hand out shared gates
+        items = [c[0] if c.count(c[0]) == len(c) else c for c in zip(first, *rest, strict=True)]
+        if any(g.qubits != c[0].qubits for c in items if type(c) is tuple for g in c):
+            raise GateError("the gate lists of one fuse_group must act on the same qubits in turn")
 
     blocks = []
     held, block = (), _ONE  # the open block and the qubits it holds
     waiting: dict[int, np.ndarray] = {}  # per qubit outside the block: its gates' product
-    for gate in gates:
+    for gate, item in zip(first, items):
         qubits = gate.qubits
         if qubits[0] in held and qubits[-1] in held:
-            block = lift(gate, held) @ block
+            m = lifted.get((item, held))
+            block = (_lift(item, lifted, held) if m is None else m) @ block
         elif len(qubits) == 1:
-            waiting[qubits[0]] = lift(gate, qubits) @ waiting.get(qubits[0], _EYE2)
+            m = lifted.get((item, qubits))
+            m = _lift(item, lifted, qubits) if m is None else m
+            waiting[qubits[0]] = m @ waiting.get(qubits[0], _EYE2)
         else:
             grown = tuple(sorted({*held, *qubits}))
             # the set grows only into a range of at most limit qubits, which
@@ -363,7 +392,8 @@ def fuse(gates, n: int, lifted: dict | None = None) -> list[tuple[np.ndarray, tu
             for q in grown:  # the joining qubits' waiting products
                 if q in waiting:
                     block, held = _kron(block, waiting.pop(q)), held + (q,)
-            block = lift(gate, grown) @ _embed(block, held, grown)
+            m = lifted.get((item, grown))
+            block = (_lift(item, lifted, grown) if m is None else m) @ _embed(block, held, grown)
             held = grown
     if held:
         blocks.append((block, held))
@@ -373,7 +403,10 @@ def fuse(gates, n: int, lifted: dict | None = None) -> list[tuple[np.ndarray, tu
             ranges[-1].append(q)
         else:
             ranges.append([q])
-    return blocks + [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
+    blocks += [(functools.reduce(_kron, map(waiting.get, on)), on) for on in map(tuple, ranges)]
+    if not rest:
+        return [blocks]
+    return [[(m if m.ndim == 2 else m[i], on) for m, on in blocks] for i in range(1 + len(rest))]
 
 
 def evolve(amps: np.ndarray, block_lists):
@@ -399,9 +432,9 @@ class CircuitSeries:
 
     Circuit k adds ``segments[order[k]]`` to circuit k-1; segment order[0] is
     the state preparation.  A circuit is built only when indexed.  ``blocks``
-    holds each segment's ``fuse`` blocks, fused once when the series is built
-    with one table of lifted gate matrices, ``lifted``, which later fusions
-    of the same gates may share.
+    holds each segment's ``fuse`` blocks, fused once when the series is built,
+    one ``fuse_group`` per skeleton, with one table of lifted gate matrices,
+    ``lifted``, which later fusions of the same gates may share.
     """
 
     segments: tuple[Program, ...]
@@ -419,12 +452,17 @@ class CircuitSeries:
             raise ValueError(f"segments must be programs on one register, got {segments!r}")
         if not order or not all(0 <= k < len(segments) for k in order):
             raise ValueError(f"order must index {len(segments)} segments, got {order}")
-        lifted: dict = {}
-        n = segments[0].num_qubits
+        groups: dict = {}  # per skeleton, the segments with it
+        for k, s in enumerate(segments):
+            groups.setdefault(tuple(g.qubits for g in s.gates), []).append(k)
+        blocks, lifted = {}, {}  # per segment its blocks; the series' lift table
+        for ks in groups.values():
+            fused = fuse_group([segments[k].gates for k in ks], segments[0].num_qubits, lifted)
+            blocks.update(zip(ks, fused))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "lifted", lifted)
-        object.__setattr__(self, "blocks", tuple(fuse(s.gates, n, lifted) for s in segments))
+        object.__setattr__(self, "blocks", tuple(blocks[k] for k in range(len(segments))))
 
     def __len__(self) -> int:
         return len(self.order)

@@ -9,9 +9,9 @@ Two hardware gate sets are modeled:
 optimization.  The domain-specific mode lowers and then runs a round-robin
 pipeline of rewriting passes to a fixpoint; every rewrite preserves the
 program unitary up to a global phase.  ``compile_segments`` compiles the
-step segments of a ``CircuitSeries`` one by one and then checks them all at
-once on seeded random states (``_check``); the report records each segment's
-worst overlap with its source as a fidelity.
+step segments of a ``CircuitSeries`` one by one and then checks each from
+the same seeded random states (``_check``); the report records each
+segment's worst overlap with its source as a fidelity.
 
 The gate list is held as a doubly linked list whose nodes are also linked
 per wire, so finding the next gate on a qubit, deleting a gate and moving one
@@ -566,27 +566,27 @@ def _compile_one(program: Program, target: NativeTarget, mode: str, tables) -> t
 def _check(source: CircuitSeries, compiled: CircuitSeries) -> list[float]:
     """Per segment, the worst overlap |<source|compiled>| on CHECK_STATES states.
 
-    Each seeded Haar-random state runs through the source segments end to
-    end and through the compiled ones, one ``evolve`` per side over the
-    blocks each series fused, read after each segment.  After segment k,
-    with o_c the overlap on state c and phi = o_0/|o_0|, each
-    ||compiled_c - phi source_c|| must be at most CHECK_TOL.  That 2-norm
-    moves to first order in a gate's error, where 1 - |o_c| moves to second
-    order (Burgholzer & Wille, IEEE TCAD 40(9), 2021).
+    Every segment starts from the same seeded Haar-random states, so its
+    result does not depend on the other segments of the series: each state
+    runs through the segment's source blocks and its compiled blocks, as each
+    series fused them, one ``evolve`` per side.  With o_c the overlap on state
+    c and phi = o_0/|o_0|, each ||compiled_c - phi source_c|| must be at most
+    CHECK_TOL.  That 2-norm moves to first order in a gate's error, where
+    1 - |o_c| moves to second order (Burgholzer & Wille, IEEE TCAD 40(9), 2021).
     """
     rng = np.random.default_rng(CHECK_SEED)
     phases, worst = [], [1.0] * len(source.segments)
     for c in range(CHECK_STATES):  # one state at a time
         state = rng.standard_normal(2 << source.segments[0].num_qubits).view(np.complex128)
         state /= np.linalg.norm(state)
-        diff = np.empty_like(state)
-        pairs = zip(evolve(state.copy(), source.blocks), evolve(state, compiled.blocks))
-        for k, (src, out) in enumerate(pairs):
+        for k, (src_blocks, out_blocks) in enumerate(zip(source.blocks, compiled.blocks)):
+            (src,) = evolve(state.copy(), [src_blocks])
+            (out,) = evolve(state.copy(), [out_blocks])
             overlap = np.vdot(src, out)
             if c == 0:  # a zero overlap leaves the residual at sqrt(2)
                 phases.append(overlap / abs(overlap) if overlap else 1.0)
-            np.multiply(src, phases[k], out=diff)
-            residual = float(np.linalg.norm(np.subtract(out, diff, out=diff)))
+            np.multiply(src, phases[k], out=src)  # src is this segment's own array
+            residual = float(np.linalg.norm(np.subtract(out, src, out=src)))
             if not residual <= CHECK_TOL:  # NaN fails too
                 raise CompileError(f"compiled segment {k} differs from its source: {residual=:.3e}")
             worst[k] = min(worst[k], float(abs(overlap)))
@@ -596,7 +596,7 @@ def _check(source: CircuitSeries, compiled: CircuitSeries) -> list[float]:
 def compile_segments(
     series: CircuitSeries, target: NativeTarget, mode: str
 ) -> tuple[CircuitSeries, list[CompileReport]]:
-    """Compile each segment of a series alone, then check them all at once.
+    """Compile each segment of a series alone, then check each from the same states.
 
     Returns the compiled series, in the source's order, and one report per
     segment.  ``mode`` is 'generic' lowering or 'domain_specific' (lowering,

@@ -146,13 +146,12 @@ def run_workflow(config: RunConfig, output_dir: str) -> RunArtifacts:
     data_dir = os.path.join(output_dir, "data")
     os.makedirs(data_dir, exist_ok=True)
 
+    stamps = [f"{t:.17g}," for t in series.times]  # each time point formatted once
     csv_paths = []
     for q, row in enumerate(series.values):
         path = os.path.join(data_dir, f"qubit_{q}_magnetization.csv")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write("t,magnetization\n")
-            for t, m in zip(series.times, row):
-                handle.write(f"{t:.17g},{m:.17g}\n")
+            handle.write("t,magnetization\n" + "".join([f"{s}{m:.17g}\n" for s, m in zip(stamps, row)]))
         csv_paths.append(path)
 
     plot_path = None

@@ -382,3 +382,31 @@ def full_sweep_ds_compile(program, target):
         if not changed:
             return gates, tuple(applied)
     raise compiler.CompileError("the reference loop reached no fixpoint")
+
+
+def magnetization_csv_oracle(times, row) -> str:
+    """One qubit's CSV text as ``run_workflow`` writes it, formatted value by value."""
+    text = "t,magnetization\n"
+    for t, m in zip(times, row):
+        text += f"{t:.17g},{m:.17g}\n"
+    return text
+
+
+def svg_points_oracle(times, row) -> str:
+    """One polyline's points in ``render_svg``, each coordinate computed by its
+    own call and formatted on its own."""
+    from spinchain import plotting as p
+
+    t0, t1 = times[0], times[-1]
+    if t1 <= t0:
+        t1 = t0 + 1.0
+    plot_w = p.WIDTH - p.MARGIN_LEFT - p.MARGIN_RIGHT
+    plot_h = p.HEIGHT - p.MARGIN_TOP - p.MARGIN_BOTTOM
+
+    def sx(t):
+        return p.MARGIN_LEFT + (t - t0) / (t1 - t0) * plot_w
+
+    def sy(m):
+        return p.MARGIN_TOP + (p.Y_MAX - m) / (p.Y_MAX - p.Y_MIN) * plot_h
+
+    return " ".join(f"{sx(t):.3f},{sy(m):.3f}" for t, m in zip(times, row))

@@ -24,7 +24,7 @@ from spinchain import (
     run_statevector,
 )
 from spinchain import circuits
-from spinchain.circuits import apply_matrix, evolve, fuse
+from spinchain.circuits import apply_matrix, evolve, fuse, fuse_group
 from spinchain.workflow import prepare_circuits
 from helpers import dense_gate_oracle, random_program, segment, unitary_equivalent
 
@@ -431,14 +431,15 @@ def test_evolve_builds_each_distinct_gate_matrix_once(monkeypatch):
 
 
 def _count_fused_gates(monkeypatch):
-    """Per ``fuse`` call as ``CircuitSeries`` looks it up, the gates fused."""
+    """Per gate list fused, through ``fuse_group`` as ``CircuitSeries`` looks
+    it up, its length: one entry per segment, however the segments group."""
     fused = []
 
-    def counted(gates, *args):
-        fused.append(len(gates))
-        return fuse(gates, *args)
+    def counted(lists, *args):
+        fused.extend(map(len, lists))
+        return fuse_group(lists, *args)
 
-    monkeypatch.setattr(circuits, "fuse", counted)
+    monkeypatch.setattr(circuits, "fuse_group", counted)
     return fused
 
 
@@ -564,3 +565,119 @@ def test_series_blocks_follow_the_register_width():
         assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(shared, series.blocks[0]))
         widths[n] = max(len(on) for _, on in series.blocks[0])
     assert widths == {4: 3, 5: 4}
+
+
+def _assert_fused_as_each_segment_alone(series):
+    # each segment's blocks are those fuse gives it alone, with a fresh table,
+    # bit for bit: the same qubits and the same bytes
+    n = series.segments[0].num_qubits
+    for program, blocks in zip(series.segments, series.blocks, strict=True):
+        alone = fuse(program.gates, n)
+        assert [on for _, on in blocks] == [on for _, on in alone]
+        for (a, _), (b, _) in zip(blocks, alone):
+            assert np.array_equal(a, b) and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _count_groups(monkeypatch):
+    """Per ``fuse_group`` call as ``CircuitSeries`` looks it up, its lists."""
+    groups = []
+
+    def counted(lists, *args):
+        groups.append(len(lists))
+        return fuse_group(lists, *args)
+
+    monkeypatch.setattr(circuits, "fuse_group", counted)
+    return groups
+
+
+DRIVES = {
+    "sinusoid": FieldProfile(mode="sinusoid", amplitude=1.0, frequency=0.3, phase=0.2),
+    "tabulated": FieldProfile(mode="tabulated", samples=((0.0, 0.5), (0.3, -1.0), (0.6, 0.25), (1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("drive", sorted(DRIVES))
+def test_series_fuses_its_steps_as_one_group_bit_for_bit(monkeypatch, drive, n):
+    # the Trotter steps of a driven chain differ in their angles alone, so
+    # they are one group, apart from a step whose field is exactly zero (the
+    # tabulated drive's second step), which has no field layer
+    model = HeisenbergModel(jx=1.0, jy=0.8, jz=0.5, field=DRIVES[drive])
+    spins = ["down" if q % 2 else "up" for q in range(n)]
+    plan = SimulationPlan(num_qubits=n, initial_spins=spins, delta_t=0.1, steps=10)
+    groups = _count_groups(monkeypatch)
+    series = generate_circuits(model, plan)
+    monkeypatch.undo()
+    steps = len(series.segments) - 1
+    assert steps > 3
+    assert groups == ([1, steps] if drive == "sinusoid" else [1, steps - 1, 1])
+    _assert_fused_as_each_segment_alone(series)
+
+
+@pytest.mark.parametrize("mode", ["generic", "domain_specific"])
+@pytest.mark.parametrize("backend", ["ibm", "rigetti"])
+def test_compiled_series_fuses_by_skeleton_bit_for_bit(monkeypatch, backend, mode):
+    config = RunConfig(
+        jx=1.0, jy=0.8, jz=0.5, h_ext=1.0, time_dep_flag=True, freq=0.25, num_qubits=5,
+        delta_t=0.05, steps=12, initial_spins=("up", "up", "down", "down", "up"),
+        backend=backend, compile_mode=mode,
+    )
+    groups = _count_groups(monkeypatch)
+    series, _ = prepare_circuits(config)
+    monkeypatch.undo()
+    # the source series, then the compiled one: each segment fused once, in fewer groups
+    assert sum(groups) == 2 * len(series.segments) == 2 * 13
+    assert len(groups) < len(series.segments)
+    _assert_fused_as_each_segment_alone(series)
+
+
+def _same_skeleton(rng, program):
+    # other gates on the same qubits in turn: random kinds and angles
+    kinds = (GateKind.H, GateKind.RX, GateKind.RZ, GateKind.U3)
+    return Program(program.num_qubits, tuple(
+        make_gate(("cnot", "cz")[rng.integers(2)], g.qubits) if len(g.qubits) == 2
+        else _random_gate_on(rng, g.qubits[0], kinds)
+        for g in program.gates
+    ))
+
+
+def test_series_mixes_groups_of_one_with_larger_groups(monkeypatch):
+    rng = np.random.default_rng(43)
+    a, b, c = (random_program(rng, 5, 40) for _ in range(3))
+    segments = (a, b, _same_skeleton(rng, a), c, _same_skeleton(rng, a), _same_skeleton(rng, c))
+    groups = _count_groups(monkeypatch)
+    series = CircuitSeries(segments, (0, 1, 2, 3, 4, 5, 2, 1))
+    monkeypatch.undo()
+    assert groups == [3, 1, 2]  # in the order each skeleton first appears
+    _assert_fused_as_each_segment_alone(series)
+
+
+def test_fuse_group_lifts_one_matrix_for_equal_gates_that_are_distinct_objects(monkeypatch):
+    rng = np.random.default_rng(47)
+    program = random_program(rng, 4, 40)
+    copies = [tuple(make_gate(g.kind, g.qubits, g.angles) for g in program.gates) for _ in range(3)]
+    assert all(x == y and x is not y for x, y in zip(copies[0], copies[1]))
+    built = _count_matrix_builds(monkeypatch)
+    grouped = fuse_group(copies, 4)
+    group_builds = built[0]
+    built[0] = 0
+    alone = fuse(program.gates, 4)
+    monkeypatch.undo()
+    # equal gates lift one matrix, as one list would, and every block is shared
+    assert group_builds == built[0]
+    for blocks in grouped:
+        assert [on for _, on in blocks] == [on for _, on in alone]
+        assert all(m is shared for (m, _), (shared, _) in zip(blocks, grouped[0]))
+        assert all(np.array_equal(m, a) for (m, _), (a, _) in zip(blocks, alone))
+
+
+def test_fuse_group_refuses_lists_whose_skeletons_differ():
+    rng = np.random.default_rng(53)
+    program = random_program(rng, 4, 30)
+    other = Program(4, program.gates[:-1] + (make_gate("h", [(program.gates[-1].qubits[0] + 1) % 4]),))
+    with pytest.raises(GateError, match="same qubits"):
+        fuse_group([program.gates, other.gates], 4)
+    with pytest.raises(ValueError):
+        fuse_group([program.gates, program.gates[:-1]], 4)
+    # a list with its own skeleton fuses alone
+    assert len(fuse_group([program.gates, _same_skeleton(rng, program).gates], 4)) == 2

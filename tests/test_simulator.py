@@ -296,18 +296,18 @@ def test_run_noisy_edge_cases():
 
 
 def _count_fused(monkeypatch):
-    # every fuse call: the hit-free segments as CircuitSeries looks it up,
-    # the hit ones through the simulator's own name
+    # every gate list fused, one entry per list: the hit-free segments as
+    # CircuitSeries groups them, and the hit ones through the simulator's fuse,
+    # which is fuse_group of one list
     from spinchain import circuits
 
-    fused, original = [], circuits.fuse
+    fused, original = [], circuits.fuse_group
 
-    def counted(gates, *args):
-        fused.append(tuple(gates))
-        return original(gates, *args)
+    def counted(lists, *args):
+        fused.extend(map(tuple, lists))
+        return original(lists, *args)
 
-    monkeypatch.setattr(circuits, "fuse", counted)
-    monkeypatch.setattr(simulator, "fuse", counted)
+    monkeypatch.setattr(circuits, "fuse_group", counted)
     return fused
 
 

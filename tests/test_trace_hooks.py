@@ -69,7 +69,7 @@ def test_tracer_installs_and_restores_on_current_modules(tmp_path):
 
 def _count_compile_calls(monkeypatch):
     # compile_segments per run, _compile_one per distinct step segment, the
-    # check's evolve calls (one per side and stimulus state), and the names
+    # check's evolve calls (one per side, stimulus state and segment), and the names
     # the benchmark's tracer wraps, which a run no longer calls
     workflow, compiler = spinchain.workflow, spinchain.compiler
     names = (
@@ -93,7 +93,12 @@ CONSTANT = RunConfig(
     compile_mode="domain_specific",
 )
 SINUSOID = replace(CONSTANT, time_dep_flag=True, freq=0.3)
-ONE_CHECK = {"compile_segments": 1, "evolve": 2 * 2, "program_unitary": 0, "compile_program": 0}
+ONE_CHECK = {"compile_segments": 1, "program_unitary": 0, "compile_program": 0}
+
+
+def _check_evolves(segments):
+    # two sides times two stimulus states, each segment from the same states
+    return 2 * 2 * segments
 
 
 def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
@@ -101,14 +106,14 @@ def test_prepare_circuits_calls_the_traced_compile_names(monkeypatch):
     circuits, reports = prepare_circuits(CONSTANT)
     assert len(reports) == len(circuits) == 5
     # a constant field has two distinct segments: state prep and one step
-    assert calls == {**ONE_CHECK, "_compile_one": 2}
+    assert calls == {**ONE_CHECK, "_compile_one": 2, "evolve": _check_evolves(2)}
 
 
 def test_prepare_circuits_compiles_every_step_of_a_sinusoid(monkeypatch):
     calls = _count_compile_calls(monkeypatch)
     circuits, reports = prepare_circuits(SINUSOID)
     assert len(reports) == len(circuits) == len(circuits.segments) == 5
-    assert calls == {**ONE_CHECK, "_compile_one": 5}
+    assert calls == {**ONE_CHECK, "_compile_one": 5, "evolve": _check_evolves(5)}
 
 
 def test_simulation_replays_the_fold_of_the_check(monkeypatch):
@@ -168,20 +173,21 @@ def test_noisy_simulation_replays_the_fold_of_the_check(monkeypatch, p):
     ids=["constant", "sinusoid", "uncompiled"],
 )
 def test_a_run_fuses_each_distinct_segment_once(tmp_path, monkeypatch, config):
-    # one fuse call per segment of the source series and, when compiled, one
-    # per segment of the compiled series; the check and the simulation fuse none
+    # each segment of the source series fused once and, when compiled, each
+    # of the compiled series; the check and the simulation fuse none.  Every
+    # fusion goes through fuse_group, so counting its lists counts segments
+    # however they group
     distinct = len(generate_circuits(build_model(config), build_plan(config)).segments)
-    calls = [0]
-    original = spinchain.circuits.fuse
+    fused = [0]
+    original = spinchain.circuits.fuse_group
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counted(lists, *args):
+        fused[0] += len(lists)
+        return original(lists, *args)
 
-    monkeypatch.setattr(spinchain.circuits, "fuse", counted)
-    monkeypatch.setattr(spinchain.simulator, "fuse", counted)
+    monkeypatch.setattr(spinchain.circuits, "fuse_group", counted)
     run_workflow(config, str(tmp_path))
-    assert calls[0] == distinct * (1 if config.compile_mode == "none" else 2)
+    assert fused[0] == distinct * (1 if config.compile_mode == "none" else 2)
 
 
 @pytest.mark.parametrize("config", [CONSTANT, SINUSOID], ids=["constant", "sinusoid"])

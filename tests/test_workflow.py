@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,13 +12,16 @@ from spinchain import (
     parse_program,
     run_workflow,
 )
+from spinchain import workflow
 from spinchain.config import parse_input_file
+from spinchain.simulator import MagnetizationSeries
 from spinchain.workflow import (
     build_model,
     build_plan,
     emit_series,
     prepare_circuits,
 )
+from helpers import magnetization_csv_oracle, svg_points_oracle
 
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_inputs"
@@ -276,3 +280,35 @@ def test_compiled_sixteen_qubit_run_checks_every_step(tmp_path):
         lines = handle.read().splitlines()
     checked = [line for line in lines if "equivalence fidelity" in line]
     assert checked == ["  equivalence fidelity: 1.000000000000"] * (config.steps + 1)
+
+
+# values on the edges of the formats: signed zero, the ends of the range,
+# 3-decimal rounding ties of m, values whose SVG y falls on a .xxx5 edge (a
+# reordered product of the y map prints 49.940 for the first, not 49.941),
+# and the smallest normal and subnormal floats
+EDGE_VALUES = (
+    -0.0, 0.0, 1.0, -1.0, 0.0005, 0.1235, -0.6785, 0.9995,
+    0.9950500000000001, 0.8848552631578948, 0.8586184210526316,
+    2.2250738585072014e-308, 5e-324,
+)
+
+
+@pytest.mark.parametrize("grid", ["steps", "random", "one_point"])
+def test_data_files_equal_value_by_value_formatting(tmp_path, monkeypatch, grid):
+    rng = np.random.default_rng(59)
+    if grid == "steps":  # the long_series grid: t = k * 0.0125
+        times = tuple(k * 0.0125 for k in range(161))
+    elif grid == "random":
+        times = tuple(np.sort(rng.uniform(0.0, 40.0, 97)).tolist())
+    else:
+        times = (0.25,)
+    rows = [rng.uniform(-1.0, 1.0, len(times)).tolist() for _ in range(3)]
+    rows.append([EDGE_VALUES[k % len(EDGE_VALUES)] for k in range(len(times))])
+    series = MagnetizationSeries(times, tuple(map(tuple, rows)))
+    monkeypatch.setattr(workflow, "simulate_series", lambda circuits, plan: series)
+    artifacts = run_workflow(RunConfig(num_qubits=2, steps=2), str(tmp_path))
+    assert len(artifacts.csv_paths) == len(rows)
+    for path, row in zip(artifacts.csv_paths, rows):
+        assert _read(path).decode() == magnetization_csv_oracle(times, row)
+    svg = _read(artifacts.plot_path).decode()
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == [svg_points_oracle(times, row) for row in rows]

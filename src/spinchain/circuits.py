@@ -454,7 +454,7 @@ class CircuitSeries:
             raise ValueError(f"order must index {len(segments)} segments, got {order}")
         groups: dict = {}  # per skeleton, the segments with it
         for k, s in enumerate(segments):
-            groups.setdefault(tuple(g.qubits for g in s.gates), []).append(k)
+            groups.setdefault(tuple([g.qubits for g in s.gates]), []).append(k)
         blocks, lifted = {}, {}  # per segment its blocks; the series' lift table
         for ks in groups.values():
             fused = fuse_group([segments[k].gates for k in ks], segments[0].num_qubits, lifted)

@@ -299,13 +299,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(*product.shape[:-4], a.shape[-1] * b.shape[-1], -1)
 
 
-@functools.cache  # k <= 4 in fuse, so it holds a few dozen arrays
-def _spread(k: int, places: tuple[int, ...]) -> np.ndarray:
-    # for the 2^k x 2^k matrix that acts as some m on the qubits at places of
-    # k (m's high bit first) and as the identity on the rest: the index of
-    # each of its entries into m's entries, flattened, with one 0 appended
+@functools.cache  # on holds at most 4 qubits in fuse: 66 small arrays for a 16-qubit chain
+def _spread(qubits: tuple[int, ...], on: tuple[int, ...]) -> np.ndarray:
+    # for the matrix on the ascending qubits on that acts as some m on qubits
+    # (m's high bit first) and as the identity on the rest: the index of each
+    # of its entries into m's entries, flattened, with one 0 appended
+    k, places = len(on), [on.index(q) for q in qubits]
     bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    sub = bits[:, list(places)] @ (1 << np.arange(len(places) - 1, -1, -1))
+    sub = bits[:, places] @ (1 << np.arange(len(places) - 1, -1, -1))
     rest = bits[:, [i for i in range(k) if i not in places]]
     same = (rest[:, None] == rest[None]).all(-1)
     index = np.where(same, (sub[:, None] << len(places)) + sub, 1 << 2 * len(places))
@@ -315,19 +316,19 @@ def _spread(k: int, places: tuple[int, ...]) -> np.ndarray:
 
 def _embed(m: np.ndarray, qubits: tuple[int, ...], on: tuple[int, ...]) -> np.ndarray:
     # m on qubits (its high bit first), or a stack of such, as the matrix on their superset on
-    index = _spread(len(on), tuple(map(on.index, qubits)))
+    index = _spread(qubits, on)
     if m.ndim == 2:
         return np.concatenate((m.ravel(), _ZERO))[index]
     return np.concatenate((m.reshape(len(m), -1), np.zeros((len(m), 1), m.dtype)), axis=1)[:, index]
 
 
 def _lift(item, lifted: dict, on: tuple[int, ...]) -> np.ndarray:
-    # the matrix on on (its qubits or an ascending superset) of a gate lifted lacks, now
-    # kept there, or a tuple of gates' stack; callers look up first, so a hit makes no call
+    # a gate's matrix on on (its qubits or an ascending superset), which callers found
+    # missing from lifted and which is now kept there; for a tuple of gates, their stack
     if type(item) is tuple:
         return np.stack([_lift(g, lifted, on) if (m := lifted.get((g, on))) is None else m for g in item])
     qubits = item.qubits
-    m = lifted.get((item, qubits))
+    m = None if on == qubits else lifted.get((item, qubits))
     if m is None:
         m = lifted[(item, qubits)] = gate_matrix(item)
     if on != qubits:

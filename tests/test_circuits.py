@@ -679,5 +679,5 @@ def test_fuse_group_refuses_lists_whose_skeletons_differ():
         fuse_group([program.gates, other.gates], 4)
     with pytest.raises(ValueError):
         fuse_group([program.gates, program.gates[:-1]], 4)
-    # a list with its own skeleton fuses alone
+    # lists with one skeleton and other gates fuse together
     assert len(fuse_group([program.gates, _same_skeleton(rng, program).gates], 4)) == 2
